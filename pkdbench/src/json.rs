@@ -31,6 +31,7 @@ impl Value {
         }
     }
 
+    #[cfg(test)]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Self::Num(n) => Some(*n),
@@ -45,6 +46,7 @@ impl Value {
         }
     }
 
+    #[cfg(test)]
     pub fn keys(&self) -> Vec<&str> {
         match self {
             Self::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),

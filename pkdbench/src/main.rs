@@ -33,10 +33,6 @@ use fedpkd_netsim::bytes_to_mb;
 use metrics::Metrics;
 use workload::Workload;
 
-/// Extra set-ups timed after each repetition; `setup_s` is the median of
-/// these and the repetitions' own set-ups.
-const SETUPS_PER_REP: usize = 5;
-
 /// Environment variables that select a kernel tier, plan or scale behind
 /// the benchmark's back. The benchmark refuses to run with any of them set
 /// so an inherited environment cannot silently measure something else.
@@ -102,6 +98,10 @@ fn inherited_overrides() -> Vec<String> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) == Some("record") {
+        record(&argv[1..]);
+        return;
+    }
     let args = match parse_args(&argv) {
         Ok(args) => args,
         Err(e) => fail(
@@ -176,6 +176,32 @@ fn main() {
     }
 }
 
+/// `pkdbench record <first-seed> <last-seed>`: runs every training
+/// workload at each seed of the range and prints its reference line (see
+/// `workload::RECORDED`).
+fn record(argv: &[String]) {
+    let seeds: Vec<u64> = argv.iter().filter_map(|a| a.parse().ok()).collect();
+    let [first, last] = seeds[..] else {
+        fail(2, "usage: pkdbench record <first-seed> <last-seed>");
+    };
+    let overrides = inherited_overrides();
+    if !overrides.is_empty() {
+        fail(
+            2,
+            &format!("refusing to run with {} set", overrides.join(", ")),
+        );
+    }
+    for seed in first..=last {
+        for w in Workload::ALL {
+            if let Some(shape) = w.train() {
+                let rep = workload::run_rep(&shape, seed, &mut NullObserver);
+                let fp = workload::fingerprint(&rep.result, shape.rounds);
+                println!("{}", fp.record_line(w, seed));
+            }
+        }
+    }
+}
+
 /// Prints `message` to stderr and exits with `code`, printing no result.
 fn fail(code: i32, message: &str) -> ! {
     eprintln!("pkdbench: {message}");
@@ -216,12 +242,14 @@ fn run_training(w: Workload, args: &Args, out_dir: &Path) -> Outcome {
     let mut peak_rss_mb = f64::NAN;
     let started = Instant::now();
     loop {
-        let u = workload::untraced_rep(w, &shape, args.seed, out_dir);
+        // The first repetition in a fresh process is the workload alone,
+        // so it measures peak RSS; later ones add allocator reuse, and a
+        // set-up timed after every round (see `workload::Counting`).
+        let u = workload::untraced_rep(w, &shape, args.seed, out_dir, first.is_some());
         if first.is_none() {
-            // The first repetition in a fresh process is the workload
-            // alone; later ones add allocator reuse and fragmentation.
             peak_rss_mb = sys::peak_rss_mb();
         }
+        setups.extend(u.setup_s);
         let rep = u.rep;
         attempted += u.counts.attempted();
         failed += u.counts.failed();
@@ -239,19 +267,12 @@ fn run_training(w: Workload, args: &Args, out_dir: &Path) -> Outcome {
             }
             Some(_) => {}
         }
-        // Set-ups are sampled after every repetition so their median spans
-        // the whole run rather than one moment of it.
-        setups.push(rep.setup_s);
-        for _ in 0..SETUPS_PER_REP {
-            let t = Instant::now();
-            drop(std::hint::black_box(shape.build(args.seed)));
-            setups.push(t.elapsed().as_secs_f64());
-        }
-        if started.elapsed().as_secs_f64() >= args.seconds {
+        if reps_round_s.len() >= 2 && started.elapsed().as_secs_f64() >= args.seconds {
             break;
         }
     }
-    let (_, result) = first.expect("at least one repetition");
+    let (fp, result) = first.expect("at least one repetition");
+    problems.extend(workload::check_recorded(w, args.seed, &fp));
     let k = workload::REFERENCE_ROUNDS.min(shape.rounds);
     if workload::fingerprint(&result, k) != workload::reference(&shape, args.seed) {
         problems.push(format!(

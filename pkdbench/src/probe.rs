@@ -13,7 +13,9 @@ use fedpkd_core::admission::AdmissionPolicy;
 use fedpkd_core::clients::build_clients;
 use fedpkd_core::eval;
 use fedpkd_core::fedpkd::distill::train_server;
-use fedpkd_core::fedpkd::filter::{filter_public_opts, filter_public_with_stats, FilterOptions};
+use fedpkd_core::fedpkd::filter::{
+    filter_public, filter_public_opts, filter_public_with_stats, FilterOptions,
+};
 use fedpkd_core::fedpkd::generator::{self, Generator};
 use fedpkd_core::fedpkd::logits::{
     aggregate_logits_from_probs, aggregate_logits_trimmed_from_probs, client_probs, pseudo_labels,
@@ -309,11 +311,14 @@ impl PhaseProbe {
 
 /// Runs one round's worth of every FedPKD layer call at the workload's
 /// shapes and seed, on freshly built models, in the program's order.
+/// `observed` says whether the untraced run's observer is enabled; it
+/// selects the filter path that run takes.
 pub fn training(
     trace: &mut Trace,
     parent: usize,
     shape: &TrainShape,
     seed: u64,
+    observed: bool,
     out: &mut Layer,
 ) -> PhaseProbe {
     let cfg = &shape.config;
@@ -450,15 +455,19 @@ pub fn training(
         eval::features_on(&mut server, &transfer)
     });
     let radii = cfg.adaptive_margins.then(|| bank.filter_margins());
-    let ((selected, _), s_filter) = timed(trace, "core.filter", core, || {
+    // The program's three filter paths: options (margins or a generated
+    // transfer set), statistics (an enabled observer), plain.
+    let (selected, s_filter) = timed(trace, "core.filter", core, || {
         if radii.is_some() || generated {
             let options = FilterOptions {
                 margins: radii.as_deref(),
                 drop_uncovered: generated,
             };
-            filter_public_opts(&features, &pseudo, &globals, cfg.theta, options)
+            filter_public_opts(&features, &pseudo, &globals, cfg.theta, options).0
+        } else if observed {
+            filter_public_with_stats(&features, &pseudo, &globals, cfg.theta).0
         } else {
-            filter_public_with_stats(&features, &pseudo, &globals, cfg.theta)
+            filter_public(&features, &pseudo, &globals, cfg.theta)
         }
     });
     out.set("core.filter.rows_per_s", public_len as f64 / s_filter);

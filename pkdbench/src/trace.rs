@@ -105,7 +105,7 @@ fn training(
     let mut problems = Vec::new();
 
     let cpu_before = sys::cpu_seconds();
-    let u = workload::untraced_rep(w, &shape, seed, out_dir);
+    let u = workload::untraced_rep(w, &shape, seed, out_dir, false);
     let cpu = sys::cpu_seconds() - cpu_before;
     let (untraced, untraced_counts) = (u.rep, u.counts);
     problems.extend(u.sink_error);
@@ -115,7 +115,8 @@ fn training(
     );
 
     let run_span = trace.open("run", None);
-    let mut sink = (w == Workload::Cohort16Robust)
+    let mut sink = w
+        .has_sink()
         .then(|| workload::jsonl_sink(out_dir, &format!("{}-traced", w.name())));
     let mut obs = SpanObserver::new(
         trace,
@@ -136,6 +137,11 @@ fn training(
         problems.push("the traced run's outputs differ from the untraced run's".into());
     }
     problems.extend(workload::sanity(&shape, &traced.result));
+    problems.extend(workload::check_recorded(
+        w,
+        seed,
+        &workload::fingerprint(&untraced.result, shape.rounds),
+    ));
     layer.set("trace.overhead_frac", traced.run_s / untraced.run_s - 1.0);
     layer.set(
         "core.eval.server_acc",
@@ -148,7 +154,7 @@ fn training(
     stream_metrics(trace, &counts, 1.0, layer);
 
     let probe_span = trace.open("probe", None);
-    let phase_probe = probe::training(trace, probe_span, &shape, seed, layer);
+    let phase_probe = probe::training(trace, probe_span, &shape, seed, w.has_sink(), layer);
     probe::telemetry(trace, probe_span, &events, layer);
     if let Some(p) = probe::snapshot(trace, probe_span, &traced.algo, shape.build(seed), layer) {
         problems.push(p);

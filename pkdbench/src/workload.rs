@@ -50,6 +50,14 @@ impl Workload {
         Self::ALL.into_iter().find(|w| w.name() == name)
     }
 
+    /// Whether the workload runs with its own `JsonlSink`, as operators run
+    /// the cohort workload. The sink enables the program's observer-gated
+    /// diagnostics (buffered logits, aggregation statistics, the
+    /// statistics-collecting filter), so they are part of its measured work.
+    pub fn has_sink(self) -> bool {
+        self == Self::Cohort16Robust
+    }
+
     /// The training shape, or `None` for the serving workload.
     pub fn train(self) -> Option<TrainShape> {
         // Scale::quick() of the experiment harness: the paper's Fig. 7 run.
@@ -166,15 +174,12 @@ pub fn spec(tier: DepthTier) -> ModelSpec {
 pub struct Rep {
     pub algo: FedPkd,
     pub result: RunResult,
-    pub setup_s: f64,
     pub run_s: f64,
 }
 
 /// Builds the workload and drives all its rounds through `obs`.
 pub fn run_rep(shape: &TrainShape, seed: u64, obs: &mut dyn RoundObserver) -> Rep {
-    let started = Instant::now();
     let mut algo = shape.build(seed);
-    let setup_s = started.elapsed().as_secs_f64();
     let started = Instant::now();
     let result = DriverBuilder::new()
         .rounds(shape.rounds)
@@ -184,7 +189,6 @@ pub fn run_rep(shape: &TrainShape, seed: u64, obs: &mut dyn RoundObserver) -> Re
     Rep {
         algo,
         result,
-        setup_s,
         run_s,
     }
 }
@@ -203,16 +207,27 @@ pub struct Untraced {
     pub counts: EventCounts,
     /// Wall seconds of each round.
     pub round_s: Vec<f64>,
+    /// Wall seconds of the set-ups timed between rounds, if asked for.
+    pub setup_s: Vec<f64>,
     pub sink_error: Option<String>,
 }
 
 /// Runs one repetition the way the workload runs untraced: with its own
 /// sink (the cohort workload's `JsonlSink`) or none, behind [`Counting`].
-pub fn untraced_rep(w: Workload, shape: &TrainShape, seed: u64, out_dir: &Path) -> Untraced {
-    let mut sink = (w == Workload::Cohort16Robust).then(|| jsonl_sink(out_dir, w.name()));
+/// With `time_setups`, one set-up of the workload is timed after every
+/// round.
+pub fn untraced_rep(
+    w: Workload,
+    shape: &TrainShape,
+    seed: u64,
+    out_dir: &Path,
+    time_setups: bool,
+) -> Untraced {
+    let mut sink = w.has_sink().then(|| jsonl_sink(out_dir, w.name()));
     let mut obs = Counting::new(sink.as_mut().map(|s| s as &mut dyn RoundObserver));
+    obs.setup = time_setups.then_some((shape, seed));
     let rep = run_rep(shape, seed, &mut obs);
-    let (counts, round_s) = (obs.counts, obs.round_s);
+    let (counts, round_s, setup_s) = (obs.counts, obs.round_s, obs.setup_s);
     let sink_error = sink
         .and_then(|s| s.into_inner().err())
         .map(|e| format!("telemetry sink failed: {e}"));
@@ -220,6 +235,7 @@ pub fn untraced_rep(w: Workload, shape: &TrainShape, seed: u64, out_dir: &Path) 
         rep,
         counts,
         round_s,
+        setup_s,
         sink_error,
     }
 }
@@ -229,11 +245,20 @@ pub fn untraced_rep(w: Workload, shape: &TrainShape, seed: u64, out_dir: &Path) 
 /// Without a sink it reports itself disabled, exactly like `NullObserver`:
 /// the program gates every diagnostic computation on `enabled()`, so this
 /// leaves the measured work unchanged.
+///
+/// With `setup` set it also times one set-up of that workload and seed
+/// after each `RoundEnd`, outside the round's timing. Set-up takes
+/// milliseconds and a shared host's speed can swing within a second, so
+/// samples spread over the whole run give a steadier median than a block
+/// taken at one moment.
 pub struct Counting<'a> {
     pub counts: EventCounts,
     /// Wall seconds of each round, in round order.
     pub round_s: Vec<f64>,
     pub forward: Option<&'a mut dyn RoundObserver>,
+    pub setup: Option<(&'a TrainShape, u64)>,
+    /// Wall seconds of each set-up timed after a round.
+    pub setup_s: Vec<f64>,
     round_started: Option<Instant>,
 }
 
@@ -243,6 +268,8 @@ impl<'a> Counting<'a> {
             counts: EventCounts::default(),
             round_s: Vec::new(),
             forward,
+            setup: None,
+            setup_s: Vec::new(),
             round_started: None,
         }
     }
@@ -255,6 +282,11 @@ impl RoundObserver for Counting<'_> {
             TelemetryEvent::RoundEnd { .. } => {
                 if let Some(started) = self.round_started.take() {
                     self.round_s.push(started.elapsed().as_secs_f64());
+                }
+                if let Some((shape, seed)) = self.setup {
+                    let t = Instant::now();
+                    drop(std::hint::black_box(shape.build(seed)));
+                    self.setup_s.push(t.elapsed().as_secs_f64());
                 }
             }
             _ => {}
@@ -289,6 +321,81 @@ pub fn fingerprint(result: &RunResult, rounds: usize) -> Fingerprint {
             .map(metrics_line)
             .collect(),
         ledger: ledger_fingerprint(&prefix),
+    }
+}
+
+impl Fingerprint {
+    /// FNV-1a 64 over the history lines, each ended by a newline: the
+    /// form in which a history is recorded in [`RECORDED`].
+    pub fn history_digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for line in &self.lines {
+            for &b in line.as_bytes().iter().chain(b"\n") {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The reference line for this fingerprint: `<workload> <seed>
+    /// <history digest> <ledger fingerprint>`, both in hex.
+    pub fn record_line(&self, w: Workload, seed: u64) -> String {
+        format!(
+            "{} {seed} {:016x} {:016x}",
+            w.name(),
+            self.history_digest(),
+            self.ledger
+        )
+    }
+}
+
+/// The recorded references: for each training workload and each recorded
+/// seed, the digest of its full history and its ledger fingerprint, made
+/// with `pkdbench record` (see the file's header).
+pub const RECORDED: &str = include_str!("../references.txt");
+
+/// The recorded `(history digest, ledger fingerprint)` of `w` at `seed`.
+pub fn recorded(w: Workload, seed: u64) -> Option<(u64, u64)> {
+    recorded_in(RECORDED, w, seed)
+}
+
+fn recorded_in(table: &str, w: Workload, seed: u64) -> Option<(u64, u64)> {
+    table
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .find_map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            let hex = |s: &str| u64::from_str_radix(s, 16).ok();
+            match f[..] {
+                [name, s, history, ledger]
+                    if name == w.name() && s.parse::<u64>().ok() == Some(seed) =>
+                {
+                    Some((hex(history)?, hex(ledger)?))
+                }
+                _ => None,
+            }
+        })
+}
+
+/// Compares a full run's fingerprint with the reference recorded for its
+/// seed. A seed with no recording is reported on standard error and left
+/// to the live checks (repetitions and the reference execution).
+pub fn check_recorded(w: Workload, seed: u64, fp: &Fingerprint) -> Option<String> {
+    match recorded(w, seed) {
+        Some(r) if r == (fp.history_digest(), fp.ledger) => None,
+        Some(_) => Some(format!(
+            "history or ledger differs from the reference recorded for seed {seed} \
+             (got {})",
+            fp.record_line(w, seed)
+        )),
+        None => {
+            eprintln!(
+                "pkdbench: no reference recorded for {} seed {seed}; \
+                 only the live checks apply",
+                w.name()
+            );
+            None
+        }
     }
 }
 
@@ -361,6 +468,41 @@ mod tests {
             assert_eq!(Workload::parse(w.name()), Some(w));
         }
         assert_eq!(Workload::parse("fig7"), None);
+    }
+
+    #[test]
+    fn recorded_references_parse_and_cover_every_training_workload() {
+        let table = "# comment\n\nfig7-hetero 3 00000000000000ff 0000000000000010\n";
+        assert_eq!(
+            recorded_in(table, Workload::Fig7Hetero, 3),
+            Some((0xff, 0x10))
+        );
+        assert_eq!(recorded_in(table, Workload::Fig7Hetero, 4), None);
+        assert_eq!(recorded_in(table, Workload::DatafreeMargins, 3), None);
+        for w in Workload::ALL.into_iter().filter(|w| w.train().is_some()) {
+            for seed in 1..=10 {
+                assert!(recorded(w, seed).is_some(), "{} seed {seed}", w.name());
+            }
+        }
+    }
+
+    #[test]
+    fn history_digest_is_fnv1a_over_newline_ended_lines() {
+        let fp = |lines: &[&str]| Fingerprint {
+            lines: lines.iter().map(|l| l.to_string()).collect(),
+            ledger: 7,
+        };
+        // FNV-1a 64 of "a\n" and of the empty input.
+        assert_eq!(fp(&["a"]).history_digest(), 0x089b_dc07_b544_e7b2);
+        assert_eq!(fp(&[]).history_digest(), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(
+            fp(&["ab"]).history_digest(),
+            fp(&["a", "b"]).history_digest()
+        );
+        assert_eq!(
+            fp(&["a"]).record_line(Workload::Cohort16Robust, 2),
+            "cohort16-robust 2 089bdc07b544e7b2 0000000000000007"
+        );
     }
 
     #[test]

@@ -9,8 +9,7 @@ Run from the repository root:
 
     python3 pkdbench/steady.py --workloads fig7-hetero serve-uds --seeds 1-10
 
-By default it runs the command `BENCHMARK.json` names; `--binary` runs an
-already-built benchmark executable instead (same arguments).
+It runs the command `BENCHMARK.json` names.
 """
 
 import argparse
@@ -45,12 +44,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
-    ap.add_argument("--binary", help="benchmark executable to run directly")
     ap.add_argument("--trace", type=int, default=0)
     args = ap.parse_args()
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    command = [args.binary] if args.binary else bench["command"]
+    command = bench["command"]
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     report = {}
@@ -74,7 +72,7 @@ def main():
             }
             bound = bounds.get(name)
             flag = ""
-            if bound is not None and name != "setup_s":
+            if bound is not None:
                 flag = "ok" if spread <= bound / 3 else (
                     "WIDE" if spread <= bound else "OVER BOUND")
             print(f"  {name:<24} median {med:<12.6g} q1 {q1:<12.6g} q3 {q3:<12.6g} "
