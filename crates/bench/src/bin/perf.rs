@@ -655,8 +655,8 @@ fn serve_main(fleet: usize, rounds: usize, profile: &str) {
     }
 }
 
-/// The robust-aggregation leg: a cohort wide enough for the trimmed
-/// mean's partition path (≥ 16 values per coordinate) with a public pool
+/// The robust-aggregation leg: a 16-client cohort (16 values per
+/// coordinate for the trimmed mean's fast tier) with a public pool
 /// deep enough for the row-parallel fan-out, and deliberately light
 /// training epochs — the leg prices the Aggregation phase, not the GEMMs.
 fn pr9_robust_scale(smoke: bool) -> Scale {

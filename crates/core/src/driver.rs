@@ -9,8 +9,6 @@
 //! sampling over a fleet, the worker budget, the bounded-staleness
 //! window, and the snapshot policy are all orthogonal knobs on one
 //! builder, and [`Driver::run`]/[`Driver::resume`] are the only verbs.
-//! The old entry points survive as thin `#[deprecated]` shims over this
-//! type.
 //!
 //! # The event-driven round loop
 //!
@@ -205,8 +203,7 @@ impl DriverBuilder {
 /// configuration (see [`DriverBuilder`]).
 ///
 /// A driver is reusable: successive [`run`](Self::run) calls on the same
-/// algorithm continue its round numbering and ledger, exactly like the
-/// deprecated `run` entry points did.
+/// algorithm continue its round numbering and ledger.
 #[derive(Debug, Clone)]
 pub struct Driver {
     config: DriverBuilder,

@@ -9,13 +9,11 @@ use crate::cow::{for_each_pooled_client_streaming, pooled_client_accuracies, Cli
 use crate::eval;
 use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig};
 use crate::fedpkd::distill::train_server;
-use crate::fedpkd::filter::{
-    filter_public, filter_public_opts, filter_public_with_stats, FilterOptions,
-};
+use crate::fedpkd::filter::{filter_public_opts, FilterOptions};
 use crate::fedpkd::generator::{self, Generator};
 use crate::fedpkd::logits::{
-    aggregate_logits_from_probs, aggregate_logits_trimmed_from_probs, aggregation_stats_from_probs,
-    client_probs, effective_trim, pseudo_labels,
+    aggregate_logits_trimmed_from_probs, aggregation_stats_from_probs, effective_trim,
+    pseudo_labels,
 };
 use crate::fedpkd::margins::{self, MarginBank};
 use crate::fedpkd::prototypes::{
@@ -255,350 +253,355 @@ fn corrupt_upload(
     }
 }
 
-impl Federation for FedPkd {
-    fn name(&self) -> &'static str {
-        "FedPKD"
-    }
+/// The data-free transfer set of one round ([`DistillSource::Generated`]):
+/// the synthesized samples plus the latent draw that produced them, which
+/// the generator refine replays.
+struct SynthBatch {
+    dataset: Dataset,
+    latents: Tensor,
+    labels: Vec<usize>,
+}
 
-    fn num_clients(&self) -> usize {
-        self.state.clients.len()
-    }
+/// The read-only inputs every stage of one round shares.
+struct RoundEnv<'a> {
+    round: usize,
+    ctx: &'a RoundContext,
+    config: &'a FedPkdConfig,
+    scenario: &'a FederatedScenario,
+    /// The public set, or this round's generated batch in data-free mode.
+    transfer: &'a Dataset,
+    workers: usize,
+}
 
-    fn run_round(
+/// What the ordered uplink commit hands the server.
+struct Uploads {
+    /// The streaming Eq. 6–7 fold of every admitted upload's softmax
+    /// probabilities (left empty under trimming).
+    acc: LogitAccumulator,
+    /// The admitted uploads' probabilities, kept only for the trimmed
+    /// estimator (cross-client by definition) or the aggregation
+    /// diagnostics; empty otherwise, so the server holds no O(cohort)
+    /// payload buffer.
+    probs: Vec<Tensor>,
+    /// Admitted, well-formed data-free input moments, in commit order.
+    moments: Vec<Vec<Option<Prototype>>>,
+    admitted: usize,
+    /// Only reachable with admission disabled: a shape-divergent upload
+    /// was let through, so the round degrades to a no-op.
+    fold_failed: bool,
+}
+
+/// The server's Eq. 6–9 consensus over the admitted uploads.
+struct Consensus {
+    /// The Eq. 6 teacher distribution (rows on the simplex).
+    aggregated: Tensor,
+    /// Eq. 9 pseudo-labels: the teacher's per-row argmax.
+    pseudo: Vec<usize>,
+    /// Data-free mode: the size-weighted global per-class input means the
+    /// generator matches.
+    input_moments: Vec<Option<Tensor>>,
+}
+
+/// The stages of Algorithm 2, in the order [`FedPkd`]'s `run_round` calls
+/// them. Each owns one step of the paper's round and exchanges explicit
+/// values with its neighbours; phase windows and early exits live in
+/// `run_round`.
+impl FedPkdState {
+    /// Stage 1, the transfer set. Public mode returns `None` (the public
+    /// set is pre-shared, nothing travels). Data-free mode synthesizes a
+    /// batch the size of the public set from the dedicated latent stream —
+    /// so uplink logit traffic, and with it comm-budget comparisons, stays
+    /// identical — and broadcasts it to the roster, charged as downlink:
+    /// the participants need it before they can score it.
+    fn draw_transfer(
         &mut self,
+        scenario: &FederatedScenario,
         round: usize,
-        ctx: &RoundContext,
+        roster: &[usize],
+        ledger: &mut CommLedger,
+    ) -> Option<SynthBatch> {
+        let gs = self.generator.as_mut()?;
+        let (latents, labels) = gs.generator.draw_batch(scenario.public.len(), &mut gs.rng);
+        let features = gs.generator.synthesize(&latents, &labels);
+        let dataset = Dataset::new(features, labels.clone(), scenario.num_classes)
+            .expect("generator conditions on in-range labels");
+        let batch_msg = Message::SyntheticBatch {
+            sample_dim: dataset.sample_dim() as u32,
+            labels: labels.iter().map(|&y| y as u32).collect(),
+            values: dataset.features().as_slice().to_vec(),
+        };
+        for &client in roster {
+            ledger.record(round, client, Direction::Downlink, &batch_msg);
+        }
+        Some(SynthBatch {
+            dataset,
+            latents,
+            labels,
+        })
+    }
+
+    /// Stage 2, client private training (Eq. 4, plus the Eq. 16 prototype
+    /// pull after round 0) and the dual knowledge uplink (Eq. 5) on the
+    /// bounded work-stealing pool. Survivors and late-roster stragglers
+    /// train concurrently; every upload is *committed* in ascending client
+    /// order — telemetry, Byzantine corruption, ledger accounting,
+    /// admission, and the streaming Eq. 6–7 fold all happen per client at
+    /// the commit point.
+    fn train_and_commit(
+        &mut self,
+        env: &RoundEnv<'_>,
+        roster: &[usize],
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
-    ) {
+    ) -> Uploads {
+        let RoundEnv {
+            round,
+            ctx,
+            config,
+            scenario,
+            transfer,
+            workers,
+        } = *env;
         let cohort = ctx.cohort();
-        let public_len = self.scenario.public.len();
-        let num_classes = self.scenario.num_classes;
+        let public_len = scenario.public.len();
+        let num_classes = scenario.num_classes;
         let num_classes_u32 = num_classes as u32;
-        // Late uploads queued in earlier rounds whose simulated transfer
-        // completes now — they arrive whether or not anyone trains today.
-        let arrivals = self.state.pending_late.remove(&round).unwrap_or_default();
-        // Stragglers the driver promoted onto the late roster train this
-        // round; only their prototypes survive the delay, so without
-        // prototypes the late path carries nothing and is skipped.
-        let late: Vec<(usize, usize)> = if self.config.use_prototypes {
-            ctx.late_arrivals().to_vec()
-        } else {
-            Vec::new()
-        };
-        if cohort.num_active() == 0 && late.is_empty() && arrivals.is_empty() {
-            // Zero survivors and nothing in flight: nobody trains, nothing
-            // travels, no model or prototype changes. The driver still
-            // frames the round with telemetry and evaluation.
-            return;
-        }
-
-        // Data-free mode: the server synthesizes this round's transfer set
-        // up front from the dedicated latent stream; everything below that
-        // would consume `scenario.public` consumes the generated batch
-        // instead. The batch matches the public set's size so uplink logit
-        // traffic (and thus comm-budget comparisons) stay identical.
-        // Zero-survivor rounds returned above without drawing, so the
-        // latent stream advances only on rounds that actually run.
-        let mut synth_batch: Option<(Tensor, Vec<usize>)> = None;
-        let synth_dataset: Option<Dataset> = self.state.generator.as_mut().map(|gs| {
-            let (latents, labels) = gs.generator.draw_batch(public_len, &mut gs.rng);
-            let features = gs.generator.synthesize(&latents, &labels);
-            let dataset = Dataset::new(features, labels.clone(), num_classes)
-                .expect("generator conditions on in-range labels");
-            synth_batch = Some((latents, labels));
-            dataset
-        });
-        let transfer: &Dataset = synth_dataset.as_ref().unwrap_or(&self.scenario.public);
-
-        // ---- Phase 1: client private training + dual knowledge uplink on
-        //      the bounded work-stealing pool. Survivors and late-roster
-        //      stragglers train concurrently; every upload is *committed*
-        //      in ascending client order — telemetry, Byzantine corruption,
-        //      ledger accounting, admission, and the streaming Eq. 6–7
-        //      fold all happen per client at the commit point. No
-        //      O(cohort) payload buffer exists unless the trimmed
-        //      estimator (cross-client by definition) or the aggregation
-        //      diagnostics require one.
-        let phase_started = Instant::now();
-        let workers = ctx.worker_budget().unwrap_or_else(max_workers);
-        let mut roster = cohort.survivors();
-        roster.extend(late.iter().map(|&(client, _)| client));
-        roster.sort_unstable();
-        // The generated batch is server knowledge the participants need
-        // before they can score it: broadcast it to everyone on the roster
-        // and charge the downlink (the public-dataset mode ships nothing
-        // here because the public set is pre-shared).
-        if let Some((_, labels)) = &synth_batch {
-            let batch_msg = Message::SyntheticBatch {
-                sample_dim: transfer.sample_dim() as u32,
-                labels: labels.iter().map(|&y| y as u32).collect(),
-                values: transfer.features().as_slice().to_vec(),
-            };
-            for &client in &roster {
-                ledger.record(round, client, Direction::Downlink, &batch_msg);
-            }
-        }
-
-        let trim = self.config.robust.trim_fraction();
-        let buffer_logits = trim.is_some() || obs.enabled();
-        let mut acc = LogitAccumulator::new(self.config.variance_weighting);
-        let mut buffered: Vec<Tensor> = Vec::new();
-        let mut moment_uploads: Vec<Vec<Option<Prototype>>> = Vec::new();
         let sample_dim = transfer.sample_dim();
-        let mut admitted = 0usize;
-        let mut fold_failed = false;
-
-        let policy = self.config.admission;
+        let policy = config.admission;
+        let trim = config.robust.trim_fraction();
+        let keep_probs = trim.is_some() || obs.enabled();
         let all_ids: Vec<u32> = (0..public_len as u32).collect();
-        let config = &self.config;
-        let scenario = &self.scenario;
+        let mut uploads = Uploads {
+            acc: LogitAccumulator::new(config.variance_weighting),
+            probs: Vec::new(),
+            moments: Vec::new(),
+            admitted: 0,
+            fold_failed: false,
+        };
+        let proto_dim = self.server_model.feature_dim();
         // Destructure for disjoint borrows: the fleet mutates on the
         // worker pool while the commit pipeline updates server-side state.
-        let FedPkdState {
+        let Self {
             clients,
-            server_model,
-            server_optimizer,
-            server_rng,
             global_prototypes,
             cached_prototypes,
             pending_late,
-            margins,
-            generator,
             quarantine,
-            driver: _,
-        } = &mut self.state;
-        let proto_dim = server_model.feature_dim();
-        {
-            let global_prototypes = &*global_prototypes;
-            for_each_pooled_client_streaming(
-                clients,
-                &scenario.clients,
-                &roster,
-                workers,
-                |_, state, data| {
-                    // Round 0 trains with Eq. 4; later rounds add the
-                    // prototype pull of Eq. 16 (when prototypes are on).
-                    let stats = if round == 0 || !config.use_prototypes {
-                        train_supervised(
-                            &mut state.model,
-                            &data.train,
-                            config.client_private_epochs,
-                            config.batch_size,
-                            &mut state.optimizer,
-                            &mut state.rng,
-                        )
-                    } else {
-                        train_supervised_with_prototypes(
-                            &mut state.model,
-                            &data.train,
-                            global_prototypes,
-                            config.epsilon,
-                            config.client_private_epochs,
-                            config.batch_size,
-                            &mut state.optimizer,
-                            &mut state.rng,
-                        )
-                    };
-                    let logits = eval::logits_on(&mut state.model, transfer);
-                    let prototypes = compute_prototypes(&mut state.model, &data.train);
-                    // Data-free mode: the input-space class means that
-                    // ground the server's generator in the real data
-                    // distribution ride along with the dual uplink.
-                    let moments = (config.distill_source == DistillSource::Generated)
-                        .then(|| compute_input_moments(&data.train));
-                    (logits, prototypes, moments, stats)
-                },
-                |client, (mut logits, mut prototypes, moments, stats)| {
-                    obs.record(&TelemetryEvent::ClientTrained {
+            ..
+        } = self;
+        let global_prototypes = &*global_prototypes;
+        for_each_pooled_client_streaming(
+            clients,
+            &scenario.clients,
+            roster,
+            workers,
+            |_, state, data| {
+                let stats = if round == 0 || !config.use_prototypes {
+                    train_supervised(
+                        &mut state.model,
+                        &data.train,
+                        config.client_private_epochs,
+                        config.batch_size,
+                        &mut state.optimizer,
+                        &mut state.rng,
+                    )
+                } else {
+                    train_supervised_with_prototypes(
+                        &mut state.model,
+                        &data.train,
+                        global_prototypes,
+                        config.epsilon,
+                        config.client_private_epochs,
+                        config.batch_size,
+                        &mut state.optimizer,
+                        &mut state.rng,
+                    )
+                };
+                let logits = eval::logits_on(&mut state.model, transfer);
+                let prototypes = compute_prototypes(&mut state.model, &data.train);
+                // Data-free mode: the input-space class means that ground
+                // the server's generator in the real data distribution
+                // ride along with the dual uplink.
+                let moments = (config.distill_source == DistillSource::Generated)
+                    .then(|| compute_input_moments(&data.train));
+                (logits, prototypes, moments, stats)
+            },
+            |client, (mut logits, mut prototypes, moments, stats)| {
+                obs.record(&TelemetryEvent::ClientTrained {
+                    round,
+                    client,
+                    samples: scenario.clients[client].train.len(),
+                    mean_loss: stats.mean_loss,
+                });
+                // Byzantine clients corrupt their uploads here — before
+                // the ledger charge, because the corrupted bytes are what
+                // actually cross the wire, and before admission, which is
+                // the server's view of them.
+                if let Some(attack) = ctx.attack(client) {
+                    let mut rng = ctx.attack_rng(round, client);
+                    corrupt_upload(attack, &mut rng, &mut logits, &mut prototypes);
+                }
+                if !cohort.is_active(client) {
+                    // A late-roster straggler: its transfer is still in
+                    // flight. The logits will be a round stale on arrival
+                    // and are discarded; the slow-moving prototypes queue
+                    // for the arrival round, when their bytes are charged
+                    // and admission inspects them.
+                    let lag = ctx
+                        .late_arrivals()
+                        .iter()
+                        .find(|&&(c, _)| c == client)
+                        .map(|&(_, lag)| lag)
+                        .expect("late roster put this client on the roster");
+                    pending_late
+                        .entry(round + lag)
+                        .or_default()
+                        .push((client, round, prototypes));
+                    return;
+                }
+                // The lossy 8-bit channel cannot represent garbage payloads
+                // (non-finite or misshapen); those travel raw instead — an
+                // adversary does not get to crash the codec.
+                let quantizable = config.quantize_knowledge
+                    && logits.cols() == num_classes
+                    && logits.all_finite();
+                if quantizable {
+                    // Charge the quantized size and replace the logits with
+                    // what actually survives the wire. The guard checked
+                    // finiteness, so this cannot fail.
+                    let quantized =
+                        QuantizedLogits::from_values(&all_ids, num_classes_u32, logits.as_slice())
+                            .expect("finiteness checked by the quantizable guard");
+                    ledger.record_bytes(round, client, Direction::Uplink, quantized.encoded_len());
+                    logits = Tensor::from_vec(quantized.dequantize(), logits.shape())
+                        .expect("dequantization preserves the shape");
+                } else {
+                    ledger.record(
                         round,
                         client,
-                        samples: scenario.clients[client].train.len(),
-                        mean_loss: stats.mean_loss,
+                        Direction::Uplink,
+                        &Message::Logits {
+                            sample_ids: all_ids.clone(),
+                            num_classes: num_classes_u32,
+                            values: logits.as_slice().to_vec(),
+                        },
+                    );
+                }
+                if config.use_prototypes {
+                    ledger.record(
+                        round,
+                        client,
+                        Direction::Uplink,
+                        &Message::Prototypes {
+                            entries: to_wire_entries(&prototypes),
+                        },
+                    );
+                }
+                if let Some(m) = &moments {
+                    ledger.record(
+                        round,
+                        client,
+                        Direction::Uplink,
+                        &Message::DataMoments {
+                            entries: to_wire_entries(m),
+                        },
+                    );
+                }
+                // Admission control: the upload was charged — the bytes
+                // crossed the wire — but only validated payloads may touch
+                // server state.
+                let mut reject = |payload, reason| {
+                    obs.record(&TelemetryEvent::PayloadRejected {
+                        round,
+                        client,
+                        payload,
+                        reason,
                     });
-                    // Byzantine clients corrupt their uploads here — before
-                    // the ledger charge, because the corrupted bytes are
-                    // what actually cross the wire, and before admission,
-                    // which is the server's view of them.
-                    if let Some(attack) = ctx.attack(client) {
-                        let mut rng = ctx.attack_rng(round, client);
-                        corrupt_upload(attack, &mut rng, &mut logits, &mut prototypes);
-                    }
-                    if !cohort.is_active(client) {
-                        // A late-roster straggler: its transfer is still in
-                        // flight. The logits will be a round stale on
-                        // arrival and are discarded; the slow-moving
-                        // prototypes queue for the arrival round, when
-                        // their bytes are charged and admission inspects
-                        // them.
-                        let lag = late
-                            .iter()
-                            .find(|&&(c, _)| c == client)
-                            .map(|&(_, lag)| lag)
-                            .expect("late roster put this client on the roster");
-                        pending_late
-                            .entry(round + lag)
-                            .or_default()
-                            .push((client, round, prototypes));
-                        return;
-                    }
-                    // The lossy 8-bit channel cannot represent garbage
-                    // payloads (non-finite or misshapen); those travel raw
-                    // instead — an adversary does not get to crash the
-                    // codec.
-                    let quantizable = config.quantize_knowledge
-                        && logits.cols() == num_classes
-                        && logits.all_finite();
-                    if quantizable {
-                        // Charge the quantized size and replace the logits
-                        // with what actually survives the wire. The guard
-                        // checked finiteness, so this cannot fail.
-                        let quantized = QuantizedLogits::from_values(
-                            &all_ids,
-                            num_classes_u32,
-                            logits.as_slice(),
-                        )
-                        .expect("finiteness checked by the quantizable guard");
-                        ledger.record_bytes(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            quantized.encoded_len(),
-                        );
-                        logits = Tensor::from_vec(quantized.dequantize(), logits.shape())
-                            .expect("dequantization preserves the shape");
-                    } else {
-                        ledger.record(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            &Message::Logits {
-                                sample_ids: all_ids.clone(),
-                                num_classes: num_classes_u32,
-                                values: logits.as_slice().to_vec(),
-                            },
-                        );
-                    }
+                };
+                if quarantine.is_quarantined(client) {
+                    reject(PayloadKind::Logits, RejectReason::Quarantined);
                     if config.use_prototypes {
-                        ledger.record(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            &Message::Prototypes {
-                                entries: to_wire_entries(&prototypes),
-                            },
-                        );
+                        reject(PayloadKind::Prototypes, RejectReason::Quarantined);
                     }
-                    if let Some(m) = &moments {
-                        ledger.record(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            &Message::DataMoments {
-                                entries: to_wire_entries(m),
-                            },
-                        );
-                    }
-                    // Admission control: the upload was charged — the bytes
-                    // crossed the wire — but only validated payloads may
-                    // touch server state.
-                    if quarantine.is_quarantined(client) {
-                        obs.record(&TelemetryEvent::PayloadRejected {
-                            round,
-                            client,
-                            payload: PayloadKind::Logits,
-                            reason: RejectReason::Quarantined,
-                        });
-                        if config.use_prototypes {
-                            obs.record(&TelemetryEvent::PayloadRejected {
-                                round,
-                                client,
-                                payload: PayloadKind::Prototypes,
-                                reason: RejectReason::Quarantined,
-                            });
-                        }
-                        return;
-                    }
-                    let mut rejected = false;
-                    if let Err(reason) = policy.check_logits(&logits, public_len, num_classes) {
-                        obs.record(&TelemetryEvent::PayloadRejected {
-                            round,
-                            client,
-                            payload: PayloadKind::Logits,
-                            reason,
-                        });
+                    return;
+                }
+                let mut rejected = false;
+                if let Err(reason) = policy.check_logits(&logits, public_len, num_classes) {
+                    reject(PayloadKind::Logits, reason);
+                    rejected = true;
+                }
+                if config.use_prototypes {
+                    if let Err(reason) =
+                        policy.check_prototypes(&prototypes, num_classes, proto_dim)
+                    {
+                        reject(PayloadKind::Prototypes, reason);
                         rejected = true;
                     }
-                    if config.use_prototypes {
-                        if let Err(reason) =
-                            policy.check_prototypes(&prototypes, num_classes, proto_dim)
-                        {
-                            obs.record(&TelemetryEvent::PayloadRejected {
-                                round,
-                                client,
-                                payload: PayloadKind::Prototypes,
-                                reason,
-                            });
-                            rejected = true;
-                        }
+                }
+                if rejected {
+                    if quarantine.record_rejection(client) {
+                        obs.record(&TelemetryEvent::ClientQuarantined {
+                            round,
+                            client,
+                            consecutive: quarantine.streak(client),
+                        });
                     }
-                    if rejected {
-                        if quarantine.record_rejection(client) {
-                            obs.record(&TelemetryEvent::ClientQuarantined {
-                                round,
-                                client,
-                                consecutive: quarantine.streak(client),
-                            });
-                        }
-                        return;
+                    return;
+                }
+                quarantine.record_accepted(client);
+                if config.use_prototypes {
+                    cached_prototypes[client] = Some((round, prototypes));
+                }
+                // Moments only feed the generator: a malformed vector is
+                // simply not folded — the logit/prototype checks above are
+                // what gate the client's standing.
+                if let Some(m) = moments {
+                    let well_formed = m.len() == num_classes
+                        && m.iter()
+                            .flatten()
+                            .all(|p| p.vector.shape() == [sample_dim] && p.vector.all_finite());
+                    if well_formed {
+                        uploads.moments.push(m);
                     }
-                    quarantine.record_accepted(client);
-                    if config.use_prototypes {
-                        cached_prototypes[client] = Some((round, prototypes));
-                    }
-                    // Moments only feed the generator: a malformed vector is
-                    // simply not folded — the logit/prototype checks above
-                    // are what gate the client's standing.
-                    if let Some(m) = moments {
-                        let well_formed = m.len() == num_classes
-                            && m.iter()
-                                .flatten()
-                                .all(|p| p.vector.shape() == [sample_dim] && p.vector.all_finite());
-                        if well_formed {
-                            moment_uploads.push(m);
-                        }
-                    }
-                    // The streaming Eq. 6–7 fold: the admitted upload is
-                    // consumed here and freed — unless a cross-client
-                    // estimator or diagnostics need the full set.
-                    if buffer_logits {
-                        buffered.push(logits);
-                    } else if acc.fold(&logits).is_err() {
-                        // Only reachable with admission disabled
-                        // (shape-divergent payloads were let through); the
-                        // round will degrade to a no-op below.
-                        fold_failed = true;
-                    }
-                    admitted += 1;
-                },
-            );
-        }
-        emit_phase_timing(obs, round, Phase::ClientTraining, phase_started);
+                }
+                // The admitted upload is softmaxed once and folded (Eqs.
+                // 6–7); the logits are freed here.
+                let probs = softmax(&logits, 1.0);
+                if trim.is_none() && uploads.acc.fold_probs(&probs).is_err() {
+                    uploads.fold_failed = true;
+                }
+                if keep_probs {
+                    uploads.probs.push(probs);
+                }
+                uploads.admitted += 1;
+            },
+        );
+        uploads
+    }
 
-        // Data-free mode: size-weight the admitted input-moment uploads into
-        // the global per-class input means the generator will match. The
-        // uploads were folded in commit order (ascending client id), so the
-        // aggregate is deterministic across worker counts.
-        let input_moments: Vec<Option<Tensor>> = if moment_uploads.is_empty() {
-            vec![None; num_classes]
-        } else {
-            aggregate_prototypes(&moment_uploads).unwrap_or_else(|_| vec![None; num_classes])
-        };
-
-        // ---- Phase 2: late arrivals land, then server-side aggregation
-        //      (Eqs. 6–8, or their trimmed variants) over the admitted
-        //      uploads.
-        let phase_started = Instant::now();
+    /// Stage 3, late arrivals land, then server-side aggregation over the
+    /// admitted uploads: the Eq. 6–7 teacher (or its trimmed variant), the
+    /// Eq. 9 pseudo-labels, the Eq. 8 global prototypes (refined through
+    /// the margin bank when adaptive margins are on), and the data-free
+    /// input moments. `None` when no trustworthy knowledge arrived — the
+    /// round then degrades to a no-op: models and prototypes stay as they
+    /// were, late arrivals only refreshed the cache.
+    fn aggregate(
+        &mut self,
+        env: &RoundEnv<'_>,
+        arrivals: Vec<LateUpload>,
+        uploads: Uploads,
+        ledger: &mut CommLedger,
+        obs: &mut dyn RoundObserver,
+    ) -> Option<Consensus> {
+        let RoundEnv {
+            round,
+            config,
+            scenario,
+            ..
+        } = *env;
+        let num_classes = scenario.num_classes;
+        let proto_dim = self.server_model.feature_dim();
         for (client, origin, protos) in arrivals {
             // The delayed transfer completes now: charge its bytes, then
             // let admission gate the aged prototypes into the stale-reuse
@@ -611,16 +614,14 @@ impl Federation for FedPkd {
                     entries: to_wire_entries(&protos),
                 },
             );
-            if quarantine.is_quarantined(client) {
-                obs.record(&TelemetryEvent::PayloadRejected {
-                    round,
-                    client,
-                    payload: PayloadKind::Prototypes,
-                    reason: RejectReason::Quarantined,
-                });
-                continue;
-            }
-            if let Err(reason) = policy.check_prototypes(&protos, num_classes, proto_dim) {
+            let verdict = if self.quarantine.is_quarantined(client) {
+                Err(RejectReason::Quarantined)
+            } else {
+                config
+                    .admission
+                    .check_prototypes(&protos, num_classes, proto_dim)
+            };
+            if let Err(reason) = verdict {
                 obs.record(&TelemetryEvent::PayloadRejected {
                     round,
                     client,
@@ -632,73 +633,45 @@ impl Federation for FedPkd {
             // Stamped with the origin round so `prototype_staleness` ages
             // the payload from when it was computed; a fresher upload from
             // the same client wins.
-            if cached_prototypes[client]
+            if self.cached_prototypes[client]
                 .as_ref()
                 .is_none_or(|&(cached, _)| cached <= origin)
             {
-                cached_prototypes[client] = Some((origin, protos));
+                self.cached_prototypes[client] = Some((origin, protos));
             }
         }
-        if admitted == 0 {
-            // Every on-time upload was rejected (or everyone was late):
-            // with no trustworthy knowledge there is nothing to aggregate
-            // or distill, so the round degrades to a no-op — models and
-            // prototypes stay as they were, late arrivals only refreshed
-            // the cache.
-            emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
-            return;
+        // Every on-time upload rejected (or everyone late), or — with
+        // admission disabled — shape-divergent payloads let through.
+        if uploads.admitted == 0 || uploads.fold_failed {
+            return None;
         }
-        // The shared softmax pass: on buffering rounds the trimmed/plain
-        // aggregation and the telemetry stats below all consume per-client
-        // probabilities, so softmax runs once per admitted upload instead
-        // of once per consumer. Softmax is a pure per-tensor map, so the
-        // sharing is bit-identical to each consumer recomputing it.
-        let probs = if buffer_logits && !fold_failed {
-            client_probs(&buffered)
-        } else {
-            Vec::new()
-        };
-        let aggregated = if fold_failed {
-            None
-        } else {
-            match trim {
-                Some(t) => aggregate_logits_trimmed_from_probs(&probs, t).ok(),
-                None if buffer_logits => {
-                    aggregate_logits_from_probs(&probs, self.config.variance_weighting).ok()
-                }
-                None => acc.finish().ok(),
-            }
-        };
-        let Some(aggregated) = aggregated else {
-            // Only reachable with admission disabled (shape-divergent
-            // payloads were let through): degrade to a no-op round rather
-            // than panicking.
-            emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
-            return;
+        let trim = config.robust.trim_fraction();
+        let aggregated = match trim {
+            Some(t) => aggregate_logits_trimmed_from_probs(&uploads.probs, t).ok()?,
+            None => uploads.acc.finish().ok()?,
         };
         let pseudo = pseudo_labels(&aggregated);
         if obs.enabled() {
-            // `obs.enabled()` implies `buffer_logits`, so `probs` holds the
-            // shared softmax outputs from the aggregation above.
-            let stats = aggregation_stats_from_probs(&probs, self.config.variance_weighting);
+            let stats = aggregation_stats_from_probs(&uploads.probs, config.variance_weighting);
             obs.record(&TelemetryEvent::LogitAggregation {
                 round,
-                clients: buffered.len(),
-                variance_weighting: self.config.variance_weighting,
+                clients: uploads.probs.len(),
+                variance_weighting: config.variance_weighting,
                 mean_client_weight: stats.mean_client_weight,
                 disagreement: stats.disagreement,
             });
         }
         let mut proto_outliers = 0usize;
         let mut proto_contributions = 0usize;
-        if self.config.use_prototypes {
+        if config.use_prototypes {
             // Eq. 8 over the admitted survivors' fresh prototypes plus any
             // absent client's cached upload that is recent enough
             // (`prototype_staleness` bounds the age of reuse).
-            let client_protos: Vec<Vec<Option<Prototype>>> = cached_prototypes
+            let client_protos: Vec<Vec<Option<Prototype>>> = self
+                .cached_prototypes
                 .iter()
                 .flatten()
-                .filter(|&&(uploaded, _)| round - uploaded <= self.config.prototype_staleness)
+                .filter(|&&(uploaded, _)| round - uploaded <= config.prototype_staleness)
                 .map(|(_, p)| p.clone())
                 .collect();
             proto_contributions = client_protos
@@ -716,9 +689,8 @@ impl Federation for FedPkd {
                 // are what the rest of the round — the filter, the server
                 // distillation, the downlink, and next round's Eq. 16
                 // pull — sees as the global prototypes.
-                let effective = if let Some((bank, opt)) = margins.as_mut() {
-                    let stats =
-                        margins::refine(bank, opt, &new_prototypes, self.config.margin_epochs);
+                let effective = if let Some((bank, opt)) = self.margins.as_mut() {
+                    let stats = margins::refine(bank, opt, &new_prototypes, config.margin_epochs);
                     obs.record(&TelemetryEvent::MarginRefined {
                         round,
                         covered: stats.covered,
@@ -731,7 +703,8 @@ impl Federation for FedPkd {
                     new_prototypes
                 };
                 if obs.enabled() {
-                    let (mean_l2, max_l2) = Self::prototype_drift(global_prototypes, &effective);
+                    let (mean_l2, max_l2) =
+                        FedPkd::prototype_drift(&self.global_prototypes, &effective);
                     obs.record(&TelemetryEvent::PrototypeDrift {
                         round,
                         classes_present: effective.iter().filter(|p| p.is_some()).count(),
@@ -739,7 +712,7 @@ impl Federation for FedPkd {
                         max_l2,
                     });
                 }
-                *global_prototypes = effective;
+                self.global_prototypes = effective;
             }
             // On Err — no cache entries at all, or (with admission
             // disabled) divergent widths — the previous prototype
@@ -749,167 +722,197 @@ impl Federation for FedPkd {
             if let Some(t) = trim {
                 obs.record(&TelemetryEvent::AggregationTrim {
                     round,
-                    logit_trim: effective_trim(buffered.len(), t),
+                    logit_trim: effective_trim(uploads.probs.len(), t),
                     prototype_outliers: proto_outliers,
                     prototype_contributions: proto_contributions,
                 });
             }
         }
-        emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
+        // Data-free mode: size-weight the admitted input-moment uploads
+        // into the global per-class input means. They were collected in
+        // commit order (ascending client id), so the aggregate is
+        // deterministic across worker counts.
+        let input_moments = if uploads.moments.is_empty() {
+            vec![None; num_classes]
+        } else {
+            aggregate_prototypes(&uploads.moments).unwrap_or_else(|_| vec![None; num_classes])
+        };
+        Some(Consensus {
+            aggregated,
+            pseudo,
+            input_moments,
+        })
+    }
 
-        // ---- Phase 3: data filtering (Alg. 1) + server distillation
-        //      (Eqs. 11–13).
-        let phase_started = Instant::now();
+    /// Stage 4, the Algorithm 1 filter (Eqs. 9–10): keep the `θ` fraction
+    /// of each pseudo-class closest to its global prototype in the server's
+    /// feature space, gated further by the adaptive margins when they are
+    /// on. Returns the kept transfer-set indices in ascending order.
+    fn filter(
+        &mut self,
+        env: &RoundEnv<'_>,
+        consensus: &Consensus,
+        obs: &mut dyn RoundObserver,
+    ) -> Vec<usize> {
+        let config = env.config;
+        if !(config.use_filter && config.use_prototypes) {
+            return (0..env.scenario.public.len()).collect();
+        }
+        let server_features = eval::features_on(&mut self.server_model, env.transfer);
         // Radii are only armed for classes whose distance scale has been
         // observed (INFINITY otherwise), so margins never gate round 0.
         let margin_radii: Option<Vec<f32>> =
-            margins.as_ref().map(|(bank, _)| bank.filter_margins());
-        // Generated samples of a class no client has seen carry no
-        // teachable signal (Eq. 10 has no target): drop them outright
-        // instead of keeping an index-order θ fraction.
-        let drop_uncovered = self.config.distill_source == DistillSource::Generated;
-        let selected: Vec<usize> = if self.config.use_filter && self.config.use_prototypes {
-            let server_features = eval::features_on(server_model, transfer);
-            if margin_radii.is_some() || drop_uncovered {
-                let (selected, stats) = filter_public_opts(
-                    &server_features,
-                    &pseudo,
-                    global_prototypes,
-                    self.config.theta,
-                    FilterOptions {
-                        margins: margin_radii.as_deref(),
-                        drop_uncovered,
-                    },
-                );
-                // Feed the observed within-class distance scale back into
-                // the bank: it is both the margin target and the arming
-                // signal for next round's radii.
-                if let Some((bank, _)) = margins.as_mut() {
-                    bank.observe_distances(&stats.mean_distance_per_class);
-                }
-                obs.record(&TelemetryEvent::FilterOutcome {
-                    round,
-                    kept: stats.kept(),
-                    dropped: stats.dropped(),
-                    kept_per_class: stats.kept_per_class,
-                    total_per_class: stats.total_per_class,
-                    distance_quantiles: stats.distance_quantiles,
-                    dropped_uncovered: stats.dropped_uncovered,
-                    dropped_by_margin: stats.dropped_by_margin,
-                });
-                selected
-            } else if obs.enabled() {
-                let (selected, stats) = filter_public_with_stats(
-                    &server_features,
-                    &pseudo,
-                    global_prototypes,
-                    self.config.theta,
-                );
-                obs.record(&TelemetryEvent::FilterOutcome {
-                    round,
-                    kept: stats.kept(),
-                    dropped: stats.dropped(),
-                    kept_per_class: stats.kept_per_class,
-                    total_per_class: stats.total_per_class,
-                    distance_quantiles: stats.distance_quantiles,
-                    dropped_uncovered: 0,
-                    dropped_by_margin: 0,
-                });
-                selected
-            } else {
-                filter_public(
-                    &server_features,
-                    &pseudo,
-                    global_prototypes,
-                    self.config.theta,
-                )
-            }
-        } else {
-            (0..public_len).collect()
-        };
-        emit_phase_timing(obs, round, Phase::Filter, phase_started);
-        // Data-free mode: refine the generator against the round's
-        // aggregated ensemble before the server distills — the FedGen
-        // alternation. The critic (server model) comes out bit-identical
-        // (params never stepped, buffers restored, gradients zeroed), so
-        // the distillation below starts from a clean slate.
-        if let (Some(gs), Some((latents, labels))) = (generator.as_mut(), synth_batch.as_ref()) {
-            let gstats = generator::refine(
-                &mut gs.generator,
-                &mut gs.optimizer,
-                server_model,
-                latents,
-                labels,
-                Some(&aggregated),
-                global_prototypes,
-                &input_moments,
-                self.config.temperature,
-                self.config.generator_epochs,
-            );
-            obs.record(&TelemetryEvent::GeneratorRefined {
-                round,
-                ensemble_loss: gstats.ensemble_loss,
-                ce_loss: gstats.ce_loss,
-                proto_loss: gstats.proto_loss,
-                moment_loss: gstats.moment_loss,
-            });
+            self.margins.as_ref().map(|(bank, _)| bank.filter_margins());
+        let (selected, stats) = filter_public_opts(
+            &server_features,
+            &consensus.pseudo,
+            &self.global_prototypes,
+            config.theta,
+            FilterOptions {
+                margins: margin_radii.as_deref(),
+                // Generated samples of a class no client has seen carry no
+                // teachable signal (Eq. 10 has no target): drop them
+                // outright instead of keeping an index-order θ fraction.
+                drop_uncovered: config.distill_source == DistillSource::Generated,
+            },
+        );
+        // Feed the observed within-class distance scale back into the
+        // bank: it is both the margin target and the arming signal for
+        // next round's radii.
+        if let Some((bank, _)) = self.margins.as_mut() {
+            bank.observe_distances(&stats.mean_distance_per_class);
         }
-        if selected.is_empty() {
-            // Every transfer sample was rejected — a data-free round where
-            // no generated class had a covered prototype. Nothing to
-            // distill on or downlink; the generator refinement above still
-            // happened, so later rounds produce usable batches.
+        obs.record(&TelemetryEvent::FilterOutcome {
+            round: env.round,
+            kept: stats.kept(),
+            dropped: stats.dropped(),
+            kept_per_class: stats.kept_per_class,
+            total_per_class: stats.total_per_class,
+            distance_quantiles: stats.distance_quantiles,
+            dropped_uncovered: stats.dropped_uncovered,
+            dropped_by_margin: stats.dropped_by_margin,
+        });
+        selected
+    }
+
+    /// Stage 5, data-free mode only: refine the generator against the
+    /// round's aggregated ensemble before the server distills — the FedGen
+    /// alternation. The critic (server model) comes out bit-identical
+    /// (params never stepped, buffers restored, gradients zeroed), so the
+    /// distillation that follows starts from a clean slate.
+    fn refine_generator(
+        &mut self,
+        env: &RoundEnv<'_>,
+        synth: &SynthBatch,
+        consensus: &Consensus,
+        obs: &mut dyn RoundObserver,
+    ) {
+        let Some(gs) = self.generator.as_mut() else {
             return;
-        }
-        let subset_features = transfer
+        };
+        let stats = generator::refine(
+            &mut gs.generator,
+            &mut gs.optimizer,
+            &mut self.server_model,
+            &synth.latents,
+            &synth.labels,
+            Some(&consensus.aggregated),
+            &self.global_prototypes,
+            &consensus.input_moments,
+            env.config.temperature,
+            env.config.generator_epochs,
+        );
+        obs.record(&TelemetryEvent::GeneratorRefined {
+            round: env.round,
+            ensemble_loss: stats.ensemble_loss,
+            ce_loss: stats.ce_loss,
+            proto_loss: stats.proto_loss,
+            moment_loss: stats.moment_loss,
+        });
+    }
+
+    /// Stage 6, server distillation (Eqs. 11–13) on the filtered subset:
+    /// the aggregated teacher's rows are the KD targets, and the Eq. 12
+    /// prototype term pulls the server's features towards the global
+    /// prototypes. Returns the subset's features for the client stage.
+    fn distill_server(
+        &mut self,
+        env: &RoundEnv<'_>,
+        selected: &[usize],
+        consensus: &Consensus,
+        obs: &mut dyn RoundObserver,
+    ) -> Tensor {
+        let config = env.config;
+        let subset_features = env
+            .transfer
             .features()
-            .select_rows(&selected)
+            .select_rows(selected)
             .expect("filter indices are in range");
         // `aggregated` is already a probability mixture (Eq. 6 over the
         // simplex); the filtered rows are the server's teacher targets.
-        let teacher_probs = aggregated
-            .select_rows(&selected)
+        let teacher_probs = consensus
+            .aggregated
+            .select_rows(selected)
             .expect("filter indices are in range");
-        let subset_pseudo: Vec<usize> = selected.iter().map(|&i| pseudo[i]).collect();
-        let delta = if self.config.use_prototypes {
-            self.config.delta
+        let subset_pseudo: Vec<usize> = selected.iter().map(|&i| consensus.pseudo[i]).collect();
+        let delta = if config.use_prototypes {
+            config.delta
         } else {
             1.0 // the prototype loss term is removed (ablation w/o Pro)
         };
-        let phase_started = Instant::now();
-        let distill_stats = train_server(
-            server_model,
+        let stats = train_server(
+            &mut self.server_model,
             &subset_features,
             &teacher_probs,
             &subset_pseudo,
-            global_prototypes,
+            &self.global_prototypes,
             delta,
-            self.config.temperature,
-            self.config.server_epochs,
-            self.config.batch_size,
-            server_optimizer,
-            server_rng,
+            config.temperature,
+            config.server_epochs,
+            config.batch_size,
+            &mut self.server_optimizer,
+            &mut self.server_rng,
         );
         obs.record(&TelemetryEvent::ServerDistill {
-            round,
-            kd_loss: distill_stats.kd_loss,
-            proto_loss: distill_stats.proto_loss,
-            combined_loss: distill_stats.combined_loss,
-            batches: distill_stats.batches,
+            round: env.round,
+            kd_loss: stats.kd_loss,
+            proto_loss: stats.proto_loss,
+            combined_loss: stats.combined_loss,
+            batches: stats.batches,
         });
-        emit_phase_timing(obs, round, Phase::ServerDistill, phase_started);
+        subset_features
+    }
 
-        // ---- Phase 4: server knowledge downlink + client public training
-        //      (Eqs. 14–15). Only the subset's logits travel (θ% of the
-        //      public set), which is FedPKD's downlink saving.
-        let phase_started = Instant::now();
-        let subset_dataset = transfer.subset(&selected);
-        let mut server_logits = eval::logits_on(server_model, &subset_dataset);
+    /// Stage 7, the server knowledge downlink (Eq. 14) and client public
+    /// training (Eq. 15). Only the subset's logits travel (θ% of the
+    /// transfer set), which is FedPKD's downlink saving; the distillation
+    /// rides the same work-stealing pool as stage 2, with losses committed
+    /// (and logged) in client order.
+    fn downlink_and_distill_clients(
+        &mut self,
+        env: &RoundEnv<'_>,
+        selected: &[usize],
+        subset_features: &Tensor,
+        ledger: &mut CommLedger,
+        obs: &mut dyn RoundObserver,
+    ) {
+        let RoundEnv {
+            round,
+            ctx,
+            config,
+            scenario,
+            transfer,
+            workers,
+        } = *env;
+        let num_classes_u32 = scenario.num_classes as u32;
+        let survivors = ctx.cohort().survivors();
+        let subset_dataset = transfer.subset(selected);
+        let mut server_logits = eval::logits_on(&mut self.server_model, &subset_dataset);
         let selected_ids: Vec<u32> = selected.iter().map(|&i| i as u32).collect();
         // A diverged server (e.g. under an unfiltered Byzantine attack) can
         // emit non-finite logits; those cannot ride the lossy 8-bit channel,
         // so they fall back to the raw f32 message instead of panicking.
-        let downlink_quantized = if self.config.quantize_knowledge {
+        let downlink_quantized = if config.quantize_knowledge {
             match QuantizedLogits::from_values(
                 &selected_ids,
                 num_classes_u32,
@@ -925,9 +928,9 @@ impl Federation for FedPkd {
         } else {
             None
         };
-        let server_probs = softmax(&server_logits, self.config.temperature);
-        let proto_entries = global_to_wire_entries(global_prototypes);
-        for client in cohort.survivors() {
+        let server_probs = softmax(&server_logits, config.temperature);
+        let proto_entries = global_to_wire_entries(&self.global_prototypes);
+        for &client in &survivors {
             match downlink_quantized {
                 Some(bytes) => ledger.record_bytes(round, client, Direction::Downlink, bytes),
                 None => ledger.record(
@@ -941,7 +944,7 @@ impl Federation for FedPkd {
                     },
                 ),
             }
-            if self.config.use_prototypes {
+            if config.use_prototypes {
                 ledger.record(
                     round,
                     client,
@@ -960,17 +963,15 @@ impl Federation for FedPkd {
                 },
             );
         }
-        // Public-phase distillation (Eq. 15) rides the same work-stealing
-        // pool; losses are committed (and logged) in client order.
         for_each_pooled_client_streaming(
-            clients,
+            &mut self.clients,
             &scenario.clients,
-            &cohort.survivors(),
+            &survivors,
             workers,
             |_, state, _| {
                 train_distill(
                     &mut state.model,
-                    &subset_features,
+                    subset_features,
                     &server_probs,
                     config.gamma,
                     config.temperature,
@@ -988,7 +989,121 @@ impl Federation for FedPkd {
                 });
             },
         );
-        emit_phase_timing(obs, round, Phase::ClientDistill, phase_started);
+    }
+}
+
+/// Encodes one client's per-class prototype upload for a snapshot.
+fn write_prototypes(w: &mut dyn StateSink, protos: &[Option<Prototype>]) {
+    w.put_usize(protos.len());
+    for proto in protos {
+        match proto {
+            Some(p) => {
+                w.put_bool(true);
+                w.put_usize(p.count);
+                snapshot::write_tensor(w, &p.vector);
+            }
+            None => w.put_bool(false),
+        }
+    }
+}
+
+/// Decodes what [`write_prototypes`] encoded.
+fn read_prototypes(r: &mut dyn StateSource) -> Result<Vec<Option<Prototype>>, SnapshotError> {
+    let len = r.take_usize()?;
+    let mut protos = Vec::with_capacity(len.min(1 << 20));
+    for _ in 0..len {
+        protos.push(if r.take_bool()? {
+            let count = r.take_usize()?;
+            let vector = snapshot::read_tensor(r)?;
+            Some(Prototype { count, vector })
+        } else {
+            None
+        });
+    }
+    Ok(protos)
+}
+
+impl Federation for FedPkd {
+    fn name(&self) -> &'static str {
+        "FedPKD"
+    }
+
+    fn num_clients(&self) -> usize {
+        self.state.clients.len()
+    }
+
+    fn run_round(
+        &mut self,
+        round: usize,
+        ctx: &RoundContext,
+        ledger: &mut CommLedger,
+        obs: &mut dyn RoundObserver,
+    ) {
+        let Self {
+            scenario,
+            config,
+            state,
+        } = self;
+        // Late uploads queued in earlier rounds whose simulated transfer
+        // completes now — they arrive whether or not anyone trains today.
+        let arrivals = state.pending_late.remove(&round).unwrap_or_default();
+        // Stragglers the driver promoted onto the late roster train this
+        // round; only their prototypes survive the delay, so without
+        // prototypes the late path carries nothing and is skipped.
+        let late: &[(usize, usize)] = if config.use_prototypes {
+            ctx.late_arrivals()
+        } else {
+            &[]
+        };
+        if ctx.cohort().num_active() == 0 && late.is_empty() && arrivals.is_empty() {
+            // Zero survivors and nothing in flight: a no-op round (the
+            // latent stream does not advance either).
+            return;
+        }
+        let mut roster = ctx.cohort().survivors();
+        roster.extend(late.iter().map(|&(client, _)| client));
+        roster.sort_unstable();
+
+        let started = Instant::now();
+        let synth = state.draw_transfer(scenario, round, &roster, ledger);
+        let env = RoundEnv {
+            round,
+            ctx,
+            config,
+            scenario,
+            transfer: synth.as_ref().map_or(&scenario.public, |s| &s.dataset),
+            workers: ctx.worker_budget().unwrap_or_else(max_workers),
+        };
+        let uploads = state.train_and_commit(&env, &roster, ledger, obs);
+        emit_phase_timing(obs, round, Phase::ClientTraining, started);
+
+        let started = Instant::now();
+        let consensus = state.aggregate(&env, arrivals, uploads, ledger, obs);
+        emit_phase_timing(obs, round, Phase::Aggregation, started);
+        let Some(consensus) = consensus else {
+            return;
+        };
+
+        let started = Instant::now();
+        let selected = state.filter(&env, &consensus, obs);
+        emit_phase_timing(obs, round, Phase::Filter, started);
+
+        let started = Instant::now();
+        if let Some(synth) = &synth {
+            state.refine_generator(&env, synth, &consensus, obs);
+        }
+        if selected.is_empty() {
+            // A data-free round where no generated class had a covered
+            // prototype: nothing to distill on or downlink, but the
+            // generator refined, so later rounds produce usable batches.
+            return;
+        }
+        let subset_features = state.distill_server(&env, &selected, &consensus, obs);
+        emit_phase_timing(obs, round, Phase::ServerDistill, started);
+
+        let started = Instant::now();
+        state.downlink_and_distill_clients(&env, &selected, &subset_features, ledger, obs);
+        emit_phase_timing(obs, round, Phase::ClientDistill, started);
     }
 
     fn server_accuracy(&mut self) -> Option<f64> {
@@ -1024,17 +1139,7 @@ impl Federation for FedPkd {
                 Some((round, protos)) => {
                     w.put_bool(true);
                     w.put_usize(*round);
-                    w.put_usize(protos.len());
-                    for proto in protos {
-                        match proto {
-                            Some(p) => {
-                                w.put_bool(true);
-                                w.put_usize(p.count);
-                                snapshot::write_tensor(w, &p.vector);
-                            }
-                            None => w.put_bool(false),
-                        }
-                    }
+                    write_prototypes(w, protos);
                 }
                 None => w.put_bool(false),
             }
@@ -1049,17 +1154,7 @@ impl Federation for FedPkd {
             for (client, origin, protos) in uploads {
                 w.put_usize(*client);
                 w.put_usize(*origin);
-                w.put_usize(protos.len());
-                for proto in protos {
-                    match proto {
-                        Some(p) => {
-                            w.put_bool(true);
-                            w.put_usize(p.count);
-                            snapshot::write_tensor(w, &p.vector);
-                        }
-                        None => w.put_bool(false),
-                    }
-                }
+                write_prototypes(w, protos);
             }
         }
         // Scenario-diversity extensions: presence-tagged so a restore into
@@ -1104,18 +1199,7 @@ impl Federation for FedPkd {
         for _ in 0..cache_len {
             cached_prototypes.push(if r.take_bool()? {
                 let round = r.take_usize()?;
-                let num_protos = r.take_usize()?;
-                let mut protos = Vec::with_capacity(num_protos.min(1 << 20));
-                for _ in 0..num_protos {
-                    protos.push(if r.take_bool()? {
-                        let count = r.take_usize()?;
-                        let vector = snapshot::read_tensor(r)?;
-                        Some(Prototype { count, vector })
-                    } else {
-                        None
-                    });
-                }
-                Some((round, protos))
+                Some((round, read_prototypes(r)?))
             } else {
                 None
             });
@@ -1135,18 +1219,7 @@ impl Federation for FedPkd {
                     )));
                 }
                 let origin = r.take_usize()?;
-                let num_protos = r.take_usize()?;
-                let mut protos = Vec::with_capacity(num_protos.min(1 << 20));
-                for _ in 0..num_protos {
-                    protos.push(if r.take_bool()? {
-                        let count = r.take_usize()?;
-                        let vector = snapshot::read_tensor(r)?;
-                        Some(Prototype { count, vector })
-                    } else {
-                        None
-                    });
-                }
-                uploads.push((client, origin, protos));
+                uploads.push((client, origin, read_prototypes(r)?));
             }
             pending_late.insert(arrival, uploads);
         }

@@ -114,8 +114,7 @@ pub fn filter_public_opts(
 /// per class and a five-number summary of the Eq. 10 distances.
 ///
 /// The kept set is identical to [`filter_public`]'s; the extra work is a
-/// single global sort of the distances, so disabled-telemetry paths should
-/// call [`filter_public`] instead.
+/// single global sort of the distances.
 ///
 /// # Panics
 ///

@@ -207,8 +207,7 @@ fn trimmed_chunk_lanes(
 /// chunk, cohorts of up to [`MAX_LANE_COHORT`] clients run through the
 /// lane-batched [`trimmed_mean_lanes`] sorting network ([`TRIM_LANES`]
 /// coordinates per pass); wider cohorts fall back to the per-column
-/// [`trimmed_mean`], whose own tier dispatch partitions instead of fully
-/// sorting.
+/// [`trimmed_mean`].
 ///
 /// # Errors
 ///

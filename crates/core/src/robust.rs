@@ -13,13 +13,16 @@
 //! `f32::total_cmp` keep results bit-identical across platforms.
 //!
 //! Like the matmul kernels and softmax losses, the order statistics here
-//! are two-tiered: the scalar tier fully sorts (the obviously-correct
-//! reference), while the fast tier `select_nth`-partitions away the
-//! trimmed tails and sorts only the kept middle. `total_cmp` is a total
-//! order, so the rank-`k..n-k` order statistics form the same value
-//! sequence either way, and summing them in sorted order reproduces the
-//! reference's `f64` accumulation chain bit for bit — verified by the
-//! proptest suite against adversarial inputs (NaN, ±∞, duplicates).
+//! are two-tiered: the scalar tier fully sorts the floats (the
+//! obviously-correct reference), while the fast tier sorts integer
+//! `total_cmp` keys for slices of up to 64 values — any realistic
+//! per-coordinate cohort — and runs eight coordinates at once through a
+//! Batcher sorting network ([`trimmed_mean_lanes`]). Longer slices take
+//! the scalar sort in either tier. `total_cmp` is a total order, so the
+//! rank-`k..n-k` order statistics form the same value sequence either
+//! way, and summing them in sorted order reproduces the reference's `f64`
+//! accumulation chain bit for bit — verified by the proptest suite
+//! against adversarial inputs (NaN, ±∞, duplicates).
 //!
 //! One carve-out: when ±∞ mixes into a kept range, the sum runs through
 //! `∞ − ∞` or `NaN + NaN`, and IEEE 754 pins neither the sign nor the
@@ -39,12 +42,6 @@ use std::fmt;
 /// roughly the comparison count. 64 covers any realistic per-coordinate
 /// client cohort.
 const MAX_KEY_SORT_LEN: usize = 64;
-
-/// Minimum slice length before the fast tier's partition path engages;
-/// below this a full insertion-class sort is already cheaper than two
-/// `select_nth` passes. (Slices this small are served by the integer key
-/// sort instead; the partition path handles `MAX_KEY_SORT_LEN+` inputs.)
-const MIN_PARTITION_LEN: usize = 16;
 
 /// Monotone integer key for `f32::total_cmp` order: flips the low 31 bits
 /// of negative values so plain `i32` comparison ranks floats exactly like
@@ -145,7 +142,7 @@ pub const TRIM_LANES: usize = 8;
 
 /// Largest cohort [`trimmed_mean_lanes`] accepts (the stack-resident
 /// network size); callers with more members per coordinate fall back to
-/// [`trimmed_mean`]'s partition path.
+/// [`trimmed_mean`].
 pub const MAX_LANE_COHORT: usize = MAX_KEY_SORT_LEN;
 
 /// One lanewise compare-exchange: after the call, `keys[a]` holds the
@@ -241,11 +238,10 @@ pub fn trimmed_mean_lanes(columns: &[[f32; TRIM_LANES]], trim_fraction: f32) -> 
 /// rest. With `trim_fraction == 0` this is the plain mean.
 ///
 /// The scalar tier fully sorts and sums the kept middle in sorted order.
-/// The fast tier sorts stack-resident integer `total_cmp` keys for small
-/// slices, and for large ones partitions the `k` smallest and `k` largest
-/// away with `select_nth_unstable_by` (linear expected time) and sorts
-/// only the `n - 2k` survivors. Either way the `f64` accumulation visits
-/// the identical value sequence, so the result is bit-identical.
+/// The fast tier sorts stack-resident integer `total_cmp` keys for slices
+/// of up to 64 values; longer ones take the scalar sort. Either way the
+/// `f64` accumulation visits the identical value sequence, so the result
+/// is bit-identical.
 ///
 /// Returns 0.0 for an empty slice.
 pub fn trimmed_mean(values: &mut [f32], trim_fraction: f32) -> f32 {
@@ -270,19 +266,8 @@ pub fn trimmed_mean(values: &mut [f32], trim_fraction: f32) -> f32 {
         let sum: f64 = kept.iter().map(|&key| f64::from(key_value(key))).sum();
         return (sum / kept.len() as f64) as f32;
     }
-    let kept: &mut [f32] = if kernel_mode() == KernelMode::Fast && k > 0 && len >= MIN_PARTITION_LEN
-    {
-        // Index k-1 puts the k smallest in front; on the tail, index
-        // `tail_len - k` pushes the k largest (pivot included) behind.
-        let (_, _, tail) = values.select_nth_unstable_by(k - 1, f32::total_cmp);
-        let keep = tail.len() - k;
-        let (middle, _, _) = tail.select_nth_unstable_by(keep, f32::total_cmp);
-        middle
-    } else {
-        values.sort_unstable_by(f32::total_cmp);
-        &mut values[k..len - k]
-    };
-    kept.sort_unstable_by(f32::total_cmp);
+    values.sort_unstable_by(f32::total_cmp);
+    let kept = &values[k..len - k];
     let sum: f64 = kept.iter().map(|&v| f64::from(v)).sum();
     (sum / kept.len() as f64) as f32
 }
@@ -290,10 +275,10 @@ pub fn trimmed_mean(values: &mut [f32], trim_fraction: f32) -> f32 {
 /// Median of `values` (which may be reordered in place): midpoint of the
 /// two central elements for even lengths. Returns 0.0 for an empty slice.
 ///
-/// The fast tier sorts stack-resident integer `total_cmp` keys for small
-/// slices and selects the central order statistic(s) directly for large
-/// ones; `total_cmp` ranks are unique, so both tiers read the same one or
-/// two values and combine them with the same arithmetic.
+/// The fast tier sorts stack-resident integer `total_cmp` keys for slices
+/// of up to 64 values; longer ones take the scalar sort. `total_cmp`
+/// ranks are unique, so both tiers read the same one or two values and
+/// combine them with the same arithmetic.
 pub fn median(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -313,26 +298,11 @@ pub fn median(values: &mut [f64]) -> f64 {
             0.5 * (key_value64(keys[mid - 1]) + key_value64(keys[mid]))
         };
     }
-    if kernel_mode() == KernelMode::Fast && len >= MIN_PARTITION_LEN {
-        let (left, &mut pivot, _) = values.select_nth_unstable_by(mid, f64::total_cmp);
-        if len % 2 == 1 {
-            pivot
-        } else {
-            // sorted[mid - 1] is the maximum of the left partition.
-            let below = left
-                .iter()
-                .copied()
-                .max_by(f64::total_cmp)
-                .expect("even length >= 2 leaves a non-empty left partition");
-            0.5 * (below + pivot)
-        }
+    values.sort_unstable_by(f64::total_cmp);
+    if len % 2 == 1 {
+        values[mid]
     } else {
-        values.sort_unstable_by(f64::total_cmp);
-        if len % 2 == 1 {
-            values[mid]
-        } else {
-            0.5 * (values[mid - 1] + values[mid])
-        }
+        0.5 * (values[mid - 1] + values[mid])
     }
 }
 

@@ -14,25 +14,25 @@
 //!   shared by FedPKD and all seven baselines.
 //!
 //! Fault injection is entirely a driver concern: the driver evaluates an
-//! optional [`FaultPlan`] each round (feeding it each client's last
-//! observed uplink size for the straggler-deadline check), emits
-//! [`TelemetryEvent::ClientDropped`] for the casualties, and hands the
-//! algorithm a [`RoundContext`] — the surviving cohort plus the Byzantine
-//! attack roster. Algorithms never see the plan itself, so the same
-//! degradation path covers every fault mechanism; they apply the roster's
-//! corruption to survivor uploads before any server-side processing, which
-//! is what makes admission control and robust aggregation testable
-//! end to end.
+//! optional [`FaultPlan`](fedpkd_netsim::FaultPlan) each round (feeding
+//! it each client's last observed uplink size for the straggler-deadline
+//! check), emits [`TelemetryEvent::ClientDropped`] for the casualties,
+//! and hands the algorithm a [`RoundContext`] — the surviving cohort plus
+//! the Byzantine attack roster. Algorithms never see the plan itself, so
+//! the same degradation path covers every fault mechanism; they apply the
+//! roster's corruption to survivor uploads before any server-side
+//! processing, which is what makes admission control and robust
+//! aggregation testable end to end.
 
 use std::time::Instant;
 
-use fedpkd_netsim::{CommLedger, DropCause, FaultPlan, RoundContext};
+use fedpkd_netsim::{CommLedger, DropCause, RoundContext};
 
 use crate::snapshot::{
     check_algorithm, AlgorithmState, SnapshotError, SnapshotReader, SnapshotStreamReader,
     SnapshotStreamWriter, SnapshotWriter, StateSink, StateSource,
 };
-use crate::telemetry::{emit_phase_timing, NullObserver, Phase, RoundObserver, TelemetryEvent};
+use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
 
 /// Metrics captured after one communication round.
 #[derive(Debug, Clone, PartialEq)]
@@ -351,10 +351,9 @@ pub trait Federation {
 
 /// The uniform interface every federated algorithm is driven through.
 ///
-/// Callers never loop over rounds themselves: [`run`](Self::run) (or the
-/// observer-less [`run_silent`](Self::run_silent), or the fault-injecting
-/// [`run_with_faults`](Self::run_with_faults)) is the single driver for
-/// FedPKD and all baselines, courtesy of the blanket impl over
+/// Callers never loop over rounds themselves:
+/// [`Driver`](crate::driver::Driver) drives FedPKD and all baselines
+/// through [`round`](Self::round), courtesy of the blanket impl over
 /// [`Federation`].
 ///
 /// # Examples
@@ -364,8 +363,8 @@ pub trait FlAlgorithm {
     /// A short display name (`"FedPKD"`, `"FedAvg"`, …).
     fn name(&self) -> &str;
 
-    /// Rounds already driven on this instance; the next `run` continues
-    /// numbering from here.
+    /// Rounds already driven on this instance; the next driver run
+    /// continues numbering from here.
     fn rounds_driven(&self) -> usize;
 
     /// Executes one communication round end to end — cohort telemetry,
@@ -384,83 +383,9 @@ pub trait FlAlgorithm {
         obs: &mut dyn RoundObserver,
     ) -> RoundMetrics;
 
-    /// Runs `rounds` rounds under an optional fault plan, streaming
-    /// telemetry to `obs`.
-    ///
-    /// Each round the plan (if any) is evaluated into a [`RoundContext`] —
-    /// surviving cohort plus Byzantine attack roster; the
-    /// straggler-deadline check is fed each client's most recent observed
-    /// uplink size (zero before a client's first upload, so round-0
-    /// deadline drops can only come from latency and slowdown factors).
-    /// Fault and adversary evaluation is deterministic: the same algorithm
-    /// seedings plus the same plan produce a bit-identical [`RunResult`].
-    ///
-    /// Round numbering and the ledger continue from any previous `run` on
-    /// this instance (see [`DriverState`]); the returned history covers
-    /// only the newly driven rounds, while the returned ledger spans the
-    /// instance's lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::DriverBuilder (`.rounds(n).faults(plan)`) instead"
-    )]
-    fn run_with_faults(
-        &mut self,
-        rounds: usize,
-        plan: Option<&FaultPlan>,
-        obs: &mut dyn RoundObserver,
-    ) -> RunResult;
-
-    /// Runs the algorithm fault-free for `rounds` rounds, streaming
-    /// telemetry to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver (`Driver::rounds(n).run(algo, obs)`) instead"
-    )]
-    #[allow(deprecated)]
-    fn run(&mut self, rounds: usize, obs: &mut dyn RoundObserver) -> RunResult {
-        self.run_with_faults(rounds, None, obs)
-    }
-
-    /// Runs the algorithm with telemetry disabled (a [`NullObserver`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver (`Driver::rounds(n).run_silent(algo)`) instead"
-    )]
-    #[allow(deprecated)]
-    fn run_silent(&mut self, rounds: usize) -> RunResult {
-        self.run(rounds, &mut NullObserver)
-    }
-
-    /// Runs under a fault plan with telemetry disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::DriverBuilder (`.rounds(n).faults(plan)`) with \
-                `run_silent` instead"
-    )]
-    #[allow(deprecated)]
-    fn run_silent_with_faults(&mut self, rounds: usize, plan: &FaultPlan) -> RunResult {
-        self.run_with_faults(rounds, Some(plan), &mut NullObserver)
-    }
-
     /// Captures the algorithm's complete owned state at the current round
-    /// boundary (the silent form of [`take_snapshot`](Self::take_snapshot);
-    /// see [`Federation::snapshot`]).
+    /// boundary without announcing it (see [`Federation::snapshot`] and
+    /// [`Driver::snapshot`](crate::driver::Driver::snapshot)).
     fn snapshot_state(&self) -> AlgorithmState;
 
     /// Restores state captured by [`snapshot_state`](Self::snapshot_state)
@@ -471,57 +396,6 @@ pub trait FlAlgorithm {
     /// See [`Federation::restore`]. On error the instance may be partially
     /// overwritten and should be discarded.
     fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), SnapshotError>;
-
-    /// Captures a snapshot and announces it on the telemetry stream as
-    /// [`TelemetryEvent::SnapshotTaken`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver::snapshot(algo, obs) instead"
-    )]
-    fn take_snapshot(&self, obs: &mut dyn RoundObserver) -> AlgorithmState {
-        let state = self.snapshot_state();
-        obs.record(&TelemetryEvent::SnapshotTaken {
-            round: self.rounds_driven(),
-            bytes: state.encoded_len(),
-        });
-        state
-    }
-
-    /// Restores `state` and continues the run for `rounds` more rounds
-    /// under an optional fault plan.
-    ///
-    /// Emits [`TelemetryEvent::SnapshotRestored`] before the first resumed
-    /// round. Round numbering, the ledger, and fault-plan evaluation
-    /// continue exactly where the snapshot left off, so — the stack being
-    /// fully deterministic — the resumed rounds are bit-identical to the
-    /// rounds an uninterrupted run would have produced.
-    ///
-    /// # Errors
-    ///
-    /// See [`Federation::restore`]; nothing runs if the restore fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver::resume(algo, state, obs) instead"
-    )]
-    #[allow(deprecated)]
-    fn run_resumed(
-        &mut self,
-        state: &AlgorithmState,
-        rounds: usize,
-        plan: Option<&FaultPlan>,
-        obs: &mut dyn RoundObserver,
-    ) -> Result<RunResult, SnapshotError> {
-        self.restore_state(state)?;
-        obs.record(&TelemetryEvent::SnapshotRestored {
-            round: self.rounds_driven(),
-            bytes: state.encoded_len(),
-        });
-        Ok(self.run_with_faults(rounds, plan, obs))
-    }
 }
 
 impl<F: Federation> FlAlgorithm for F {
@@ -593,22 +467,6 @@ impl<F: Federation> FlAlgorithm for F {
         metrics
     }
 
-    #[allow(deprecated)]
-    fn run_with_faults(
-        &mut self,
-        rounds: usize,
-        plan: Option<&FaultPlan>,
-        obs: &mut dyn RoundObserver,
-    ) -> RunResult {
-        // Thin compatibility shim: the round loop itself lives in
-        // `crate::driver::Driver` now.
-        let mut builder = crate::driver::DriverBuilder::new().rounds(rounds);
-        if let Some(plan) = plan {
-            builder = builder.faults(plan.clone());
-        }
-        builder.build().run(self, obs)
-    }
-
     fn snapshot_state(&self) -> AlgorithmState {
         Federation::snapshot(self)
     }
@@ -622,8 +480,8 @@ impl<F: Federation> FlAlgorithm for F {
 mod tests {
     use super::*;
     use crate::driver::{Driver, DriverBuilder};
-    use crate::telemetry::EventLog;
-    use fedpkd_netsim::{CohortPolicy, Direction, Message};
+    use crate::telemetry::{EventLog, NullObserver};
+    use fedpkd_netsim::{CohortPolicy, Direction, FaultPlan, Message};
 
     /// A fake federation whose accuracy rises linearly and in which every
     /// surviving client sends a fixed-size message per round.
@@ -978,25 +836,6 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_driver() {
-        // The deprecated FlAlgorithm verbs are shims over the Driver; they
-        // must keep producing bit-identical results until removed.
-        let legacy = FakeFed::new().run_silent(4);
-        let driven = Driver::rounds(4).run_silent(&mut FakeFed::new());
-        assert_eq!(legacy, driven);
-
-        let plan = FaultPlan::new(9).with_dropout(0.4);
-        let legacy = FakeFed::new().run_silent_with_faults(4, &plan);
-        let driven = DriverBuilder::new()
-            .rounds(4)
-            .faults(plan)
-            .build()
-            .run_silent(&mut FakeFed::new());
-        assert_eq!(legacy, driven);
     }
 
     #[test]

@@ -307,7 +307,7 @@ pub enum TelemetryEvent {
         participation_rate: f64,
     },
     /// A state snapshot was captured at a round boundary
-    /// (see [`FlAlgorithm::take_snapshot`](crate::runtime::FlAlgorithm::take_snapshot)).
+    /// (see [`Driver::snapshot`](crate::driver::Driver::snapshot)).
     SnapshotTaken {
         /// Rounds driven when the snapshot was taken — the round a resumed
         /// run will start from.
@@ -316,7 +316,7 @@ pub enum TelemetryEvent {
         bytes: usize,
     },
     /// A state snapshot was restored into a fresh instance
-    /// (see [`FlAlgorithm::run_resumed`](crate::runtime::FlAlgorithm::run_resumed)).
+    /// (see [`Driver::resume`](crate::driver::Driver::resume)).
     SnapshotRestored {
         /// Rounds driven recorded in the snapshot — the next round to run.
         round: usize,
@@ -761,9 +761,10 @@ pub trait RoundObserver {
 
     /// Whether the observer wants events at all.
     ///
-    /// Algorithms gate the *computation* of diagnostic statistics (filter
-    /// quantiles, aggregation disagreement, prototype drift) on this, so a
-    /// disabled observer costs nothing beyond the check itself.
+    /// Algorithms gate the *computation* of diagnostic statistics
+    /// (aggregation disagreement, prototype drift) on this, so a disabled
+    /// observer costs nothing beyond the check itself. It never selects
+    /// which code computes a result.
     fn enabled(&self) -> bool {
         true
     }

@@ -197,9 +197,9 @@ proptest! {
 // ---- Robust order statistics: fast tier vs. scalar tier ---------------
 
 /// Strategy: a value slice salted with adversarial entries (NaN, ±∞,
-/// signed zeros, duplicated constants) at lengths spanning both fast-tier
-/// paths — the stack integer-key sort (≤ 64) and the `select_nth`
-/// partition path (> 64).
+/// signed zeros, duplicated constants) at lengths on both sides of the
+/// fast tier's stack integer-key sort (≤ 64 values; longer slices take
+/// the scalar sort).
 /// Bit equality, except two NaNs always match. A trimmed sum whose kept
 /// range spans `−∞ … +∞ … NaN` produces NaN through `∞ − ∞`-style
 /// collapses and NaN-vs-NaN additions, and the *sign/payload* of such a
@@ -233,8 +233,8 @@ fn adversarial_f32s(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `trimmed_mean`'s fast tier (integer-key sort for small slices,
-    /// `select_nth` partitioning for large ones) returns the scalar tier's
+    /// `trimmed_mean`'s fast tier (integer-key sort for up to 64 values,
+    /// the scalar sort beyond) returns the scalar tier's
     /// exact bits — `total_cmp` is a total order, so the kept order
     /// statistics and the `f64` summation chain are identical. NaN bits
     /// pass through both tiers untouched (no arithmetic ever runs on a

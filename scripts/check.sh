@@ -72,3 +72,12 @@ if [ "$(json_bool target/bench_pr10_smoke.json margins_mode)" != "true" ] ||
     echo "FAIL: pr10 smoke — a scenario-diversity mode diverged across the determinism matrix" >&2
     exit 1
 fi
+# Benchmark gate: pkdbench's own tests, then one short untraced run per
+# training workload. Each run exits 1 unless its history and ledger match
+# the recorded seed-0 reference bit for bit (pkdbench/README.md, "Output
+# checks"), so a refactor that changes any result fails here.
+cargo test --release -q --manifest-path pkdbench/Cargo.toml > /dev/null
+for workload in fig7-hetero cohort16-robust datafree-margins; do
+    cargo run --release --offline --quiet --manifest-path pkdbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 > /dev/null
+done

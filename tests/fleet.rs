@@ -151,26 +151,21 @@ fn fast_pkd() -> FedPkdConfig {
     }
 }
 
-/// The redesigned driver (streaming aggregation, work-stealing pool) must
-/// reproduce the legacy buffered entry point bit-for-bit: once via the
-/// deprecated shim, once at the default worker budget, once fully serial.
-fn assert_streaming_matches_legacy<A: Federation>(name: &str, make: &dyn Fn() -> A) {
-    let mut legacy_algo = make();
-    #[allow(deprecated)]
-    let legacy = legacy_algo.run_silent(ROUNDS);
+/// The driver (streaming aggregation, work-stealing pool) must replay
+/// bit-for-bit at the default worker budget and fully serial.
+fn assert_replays_across_workers<A: Federation>(name: &str, make: &dyn Fn() -> A) {
     let driven = Driver::rounds(ROUNDS).run_silent(&mut make());
     let serial = DriverBuilder::new()
         .rounds(ROUNDS)
         .workers(1)
         .build()
         .run_silent(&mut make());
-    assert_eq!(legacy, driven, "{name}: legacy shim vs driver");
     assert_eq!(driven, serial, "{name}: default workers vs serial");
 }
 
 #[test]
 fn streaming_matches_legacy_for_fedpkd() {
-    assert_streaming_matches_legacy("FedPKD", &|| {
+    assert_replays_across_workers("FedPKD", &|| {
         FedPkd::new(
             scenario(21),
             vec![client_spec(); 3],
@@ -184,42 +179,42 @@ fn streaming_matches_legacy_for_fedpkd() {
 
 #[test]
 fn streaming_matches_legacy_for_fedavg() {
-    assert_streaming_matches_legacy("FedAvg", &|| {
+    assert_replays_across_workers("FedAvg", &|| {
         FedAvg::new(scenario(22), server_spec(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_fedprox() {
-    assert_streaming_matches_legacy("FedProx", &|| {
+    assert_replays_across_workers("FedProx", &|| {
         FedProx::new(scenario(23), server_spec(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_fedmd() {
-    assert_streaming_matches_legacy("FedMD", &|| {
+    assert_replays_across_workers("FedMD", &|| {
         FedMd::new(scenario(24), vec![client_spec(); 3], fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_dsfl() {
-    assert_streaming_matches_legacy("DS-FL", &|| {
+    assert_replays_across_workers("DS-FL", &|| {
         DsFl::new(scenario(25), vec![client_spec(); 3], fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_feddf() {
-    assert_streaming_matches_legacy("FedDF", &|| {
+    assert_replays_across_workers("FedDF", &|| {
         FedDf::new(scenario(26), server_spec(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_fedet() {
-    assert_streaming_matches_legacy("FedET", &|| {
+    assert_replays_across_workers("FedET", &|| {
         FedEt::new(
             scenario(27),
             vec![client_spec(); 3],
@@ -233,7 +228,7 @@ fn streaming_matches_legacy_for_fedet() {
 
 #[test]
 fn streaming_matches_legacy_for_naive_kd() {
-    assert_streaming_matches_legacy("NaiveKD", &|| {
+    assert_replays_across_workers("NaiveKD", &|| {
         NaiveKd::new(
             scenario(28),
             vec![client_spec(); 3],

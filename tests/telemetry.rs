@@ -20,7 +20,21 @@ fn scenario() -> fedpkd::data::FederatedScenario {
         .expect("valid scenario")
 }
 
+fn fast_config() -> FedPkdConfig {
+    FedPkdConfig {
+        client_private_epochs: 2,
+        client_public_epochs: 1,
+        server_epochs: 3,
+        learning_rate: 0.003,
+        ..FedPkdConfig::default()
+    }
+}
+
 fn fedpkd() -> FedPkd {
+    fedpkd_with(fast_config())
+}
+
+fn fedpkd_with(config: FedPkdConfig) -> FedPkd {
     let client_spec = ModelSpec::ResMlp {
         input_dim: 32,
         num_classes: 10,
@@ -31,13 +45,6 @@ fn fedpkd() -> FedPkd {
         num_classes: 10,
         tier: DepthTier::T20,
     };
-    let config = FedPkdConfig {
-        client_private_epochs: 2,
-        client_public_epochs: 1,
-        server_epochs: 3,
-        learning_rate: 0.003,
-        ..FedPkdConfig::default()
-    };
     FedPkd::new(scenario(), vec![client_spec; 3], server_spec, config, SEED)
         .expect("valid federation")
 }
@@ -45,19 +52,44 @@ fn fedpkd() -> FedPkd {
 /// The core telemetry contract: observers are purely observational. A run's
 /// `RunResult` (history and ledger) must be bit-identical whether telemetry
 /// is disabled, streamed to JSONL, or collected in memory.
-#[test]
-fn observers_do_not_change_results() {
-    let silent = Driver::rounds(ROUNDS).run_silent(&mut fedpkd());
+fn assert_observers_do_not_change_results(name: &str, config: FedPkdConfig) {
+    let silent = Driver::rounds(ROUNDS).run_silent(&mut fedpkd_with(config.clone()));
 
     let mut sink = JsonlSink::new(Vec::new());
-    let streamed = Driver::rounds(ROUNDS).run(&mut fedpkd(), &mut sink);
+    let streamed = Driver::rounds(ROUNDS).run(&mut fedpkd_with(config.clone()), &mut sink);
     assert!(sink.error().is_none());
-    assert_eq!(silent, streamed, "JsonlSink must not perturb the run");
+    assert_eq!(
+        silent, streamed,
+        "{name}: JsonlSink must not perturb the run"
+    );
 
     let mut log = EventLog::new();
-    let logged = Driver::rounds(ROUNDS).run(&mut fedpkd(), &mut log);
-    assert_eq!(silent, logged, "EventLog must not perturb the run");
+    let logged = Driver::rounds(ROUNDS).run(&mut fedpkd_with(config), &mut log);
+    assert_eq!(silent, logged, "{name}: EventLog must not perturb the run");
     assert!(!log.events().is_empty());
+}
+
+/// The contract holds on every aggregation and filter path an observer
+/// could once select: the paper-faithful round, the trimmed estimator,
+/// and the margin-gated filter over a generated transfer set.
+#[test]
+fn observers_do_not_change_results() {
+    assert_observers_do_not_change_results("paper-faithful", fast_config());
+    assert_observers_do_not_change_results(
+        "trimmed",
+        FedPkdConfig {
+            robust: RobustAggregation::Trimmed { trim_fraction: 0.2 },
+            ..fast_config()
+        },
+    );
+    assert_observers_do_not_change_results(
+        "margins + generated",
+        FedPkdConfig {
+            adaptive_margins: true,
+            distill_source: DistillSource::Generated,
+            ..fast_config()
+        },
+    );
 }
 
 /// Golden-shape test for the JSONL trace of a two-round FedPKD run: every
