@@ -39,8 +39,10 @@ fn bench_matmul(c: &mut Criterion) {
     //
     // This bench runs whichever tier is active (the default is Fast); flip
     // with `fedpkd_tensor::KernelMode::scoped` and re-measure both before
-    // touching either inner loop. `cargo run --release -p fedpkd-bench
-    // --bin perf` gives the end-to-end phase view (BENCH_pr5.json).
+    // touching either inner loop. The benchmark's traced run (`pkdbench
+    // --workload fig7-hetero --trace 1`) gives the end-to-end phase and
+    // per-layer view; `crates/bench/tests/paper_gates.rs` holds the tier
+    // speed floors.
     let mut a = Tensor::rand_uniform(&[32, 256], -1.0, 1.0, &mut rng);
     for x in a.as_mut_slice() {
         if *x < 0.0 {

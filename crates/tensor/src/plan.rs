@@ -24,9 +24,10 @@
 //! workers executed them in. Permuting the seeding order therefore changes
 //! only *when* each result becomes available, never its value or the order
 //! server-side folds observe it — so any schedule, any worker count, and
-//! any steal interleaving replay bit-identically. The perf binary's gate
-//! checks exactly this: grouped vs sequential schedules must produce
-//! identical run histories for all algorithms.
+//! any steal interleaving replay bit-identically. The gate matrix in
+//! `crates/bench/tests/determinism.rs` checks exactly this: grouped vs
+//! sequential schedules must produce identical run results for all
+//! algorithms.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
