@@ -43,18 +43,18 @@ use std::sync::OnceLock;
 
 /// One immutable model blueprint shared by every client of a capacity
 /// tier. Holds the spec plus lazily computed metadata (the state-vector
-/// length), never any weights.
+/// length and parameter shapes), never any weights.
 #[derive(Debug)]
 pub struct Template {
     spec: ModelSpec,
-    state_len: OnceLock<usize>,
+    layout: OnceLock<(usize, Vec<Vec<usize>>)>,
 }
 
 impl Template {
     fn new(spec: ModelSpec) -> Self {
         Self {
             spec,
-            state_len: OnceLock::new(),
+            layout: OnceLock::new(),
         }
     }
 
@@ -63,15 +63,22 @@ impl Template {
         &self.spec
     }
 
-    /// The length of the flat state vector of a model built from this
+    /// `(state-vector length, parameter shapes)` of a model built from this
     /// template. Computed once per tier by building (and immediately
     /// dropping) a throwaway model.
-    pub fn state_len(&self) -> usize {
-        *self.state_len.get_or_init(|| {
+    fn layout(&self) -> &(usize, Vec<Vec<usize>>) {
+        self.layout.get_or_init(|| {
             // The weights are discarded, so any deterministic stream works.
             let mut rng = Rng::stream(0, u64::MAX);
-            state_vector(&self.spec.build(&mut rng)).len()
+            let model = self.spec.build(&mut rng);
+            (state_vector(&model).len(), snapshot::param_shapes(&model))
         })
+    }
+
+    /// The length of the flat state vector of a model built from this
+    /// template.
+    pub fn state_len(&self) -> usize {
+        self.layout().0
     }
 }
 
@@ -447,33 +454,9 @@ pub fn read_pool(r: &mut dyn StateSource, pool: &mut ClientPool) -> Result<(), S
                 state.len()
             )));
         }
-        let opt_lr = r.take_f32()?;
-        if !(opt_lr.is_finite() && opt_lr > 0.0) {
-            return Err(SnapshotError::Malformed(format!(
-                "bad learning rate {opt_lr}"
-            )));
-        }
-        let opt_t = r.take_u64()?;
-        let moment_count = r.take_usize()?;
-        let read_moments = |r: &mut dyn StateSource| -> Result<Vec<_>, SnapshotError> {
-            (0..moment_count)
-                .map(|_| snapshot::read_tensor(r))
-                .collect()
-        };
-        let opt_m = read_moments(r)?;
-        let opt_v = read_moments(r)?;
-        for (m, v) in opt_m.iter().zip(&opt_v) {
-            if m.shape() != v.shape() {
-                return Err(SnapshotError::Malformed("moment shapes differ".into()));
-            }
-        }
-        let mut rng = [0u64; 4];
-        for word in &mut rng {
-            *word = r.take_u64()?;
-        }
-        if rng.iter().all(|&w| w == 0) {
-            return Err(SnapshotError::Malformed("all-zero RNG state".into()));
-        }
+        let (opt_lr, opt_t, opt_m, opt_v) =
+            snapshot::read_adam_parts(r, &pool.template_of(i).layout().1)?;
+        let rng = snapshot::read_rng(r)?.state();
         let parked = ParkedClient {
             state,
             opt_lr,
@@ -516,7 +499,7 @@ impl ClientPool {
 mod tests {
     use super::*;
     use crate::clients::{build_clients, for_each_active_client_streaming};
-    use crate::snapshot::{write_clients, SnapshotWriter};
+    use crate::snapshot::{framed, unframed, write_adam, write_clients, write_model, write_rng};
     use crate::train::train_supervised;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_tensor::models::DepthTier;
@@ -684,11 +667,10 @@ mod tests {
         for_each_active_client_streaming(&mut owned, &scenario.clients, &[1], 2, train, |_, ()| {});
         let mut pool = ClientPool::new(&specs, 0.003, 31);
         for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[1], 2, train, |_, ()| {});
-        let mut w_owned = SnapshotWriter::new();
-        write_clients(&mut w_owned, &owned);
-        let mut w_pool = SnapshotWriter::new();
-        write_pool(&mut w_pool, &pool);
-        assert_eq!(w_pool.into_bytes(), w_owned.into_bytes());
+        assert_eq!(
+            framed(|w| write_pool(w, &pool)),
+            framed(|w| write_clients(w, &owned))
+        );
     }
 
     #[test]
@@ -713,13 +695,9 @@ mod tests {
             },
             |_, ()| {},
         );
-        let mut w = SnapshotWriter::new();
-        write_pool(&mut w, &pool);
-        let bytes = w.into_bytes();
+        let bytes = framed(|w| write_pool(w, &pool));
         let mut restored = ClientPool::new(&specs, 0.003, 37);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes);
-        read_pool(&mut r, &mut restored).unwrap();
-        r.finish().unwrap();
+        unframed(&bytes, |r| read_pool(r, &mut restored)).unwrap();
         // Untrained clients come back fresh, the trained one parked.
         assert_eq!(restored.resident_clients(), 1);
         assert!(matches!(restored.slot(2), ClientSlot::Parked(_)));
@@ -735,13 +713,33 @@ mod tests {
     fn read_pool_rejects_wrong_state_length() {
         let specs = vec![spec(DepthTier::T11)];
         let pool = ClientPool::new(&specs, 0.001, 1);
-        let mut w = SnapshotWriter::new();
-        write_pool(&mut w, &pool);
-        let bytes = w.into_bytes();
+        let bytes = framed(|w| write_pool(w, &pool));
         let mut other = ClientPool::new(&[spec(DepthTier::T20)], 0.001, 1);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes);
         assert!(matches!(
-            read_pool(&mut r, &mut other),
+            unframed(&bytes, |r| read_pool(r, &mut other)),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn read_pool_rejects_moments_of_another_architecture() {
+        use fedpkd_tensor::optim::Optimizer;
+
+        let mut clients = build_clients(&[spec(DepthTier::T11), spec(DepthTier::T20)], 0.003, 5);
+        for c in &mut clients {
+            c.optimizer.step(&mut c.model);
+        }
+        // A T11 client's model and RNG with a T20 client's Adam state.
+        let (t11, t20) = (&clients[0], &clients[1]);
+        let bytes = framed(|w| {
+            w.put_usize(1);
+            write_model(w, &t11.model);
+            write_adam(w, &t20.optimizer);
+            write_rng(w, &t11.rng);
+        });
+        let mut pool = ClientPool::new(&[spec(DepthTier::T11)], 0.003, 5);
+        assert!(matches!(
+            unframed(&bytes, |r| read_pool(r, &mut pool)),
             Err(SnapshotError::Malformed(_))
         ));
     }

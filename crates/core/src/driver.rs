@@ -302,7 +302,7 @@ impl Driver {
         algo.restore(state)?;
         obs.record(&TelemetryEvent::SnapshotRestored {
             round: algo.driver().rounds_driven,
-            bytes: state.encoded_len(),
+            bytes: state.as_bytes().len(),
         });
         Ok(self.run(algo, obs))
     }
@@ -313,7 +313,7 @@ impl Driver {
         let state = algo.snapshot();
         obs.record(&TelemetryEvent::SnapshotTaken {
             round: algo.driver().rounds_driven,
-            bytes: state.encoded_len(),
+            bytes: state.as_bytes().len(),
         });
         state
     }

@@ -74,7 +74,7 @@ pub use fleet::FleetSim;
 pub use remote::{RemoteFederation, StageError};
 pub use robust::{AggregationError, RobustAggregation};
 pub use runtime::{Federation, FlAlgorithm, RoundMetrics, RunResult};
-pub use snapshot::{AlgorithmState, SnapshotError, SnapshotReader, SnapshotWriter};
+pub use snapshot::{AlgorithmState, SnapshotError};
 pub use streaming::{LogitAccumulator, PrototypeAccumulator};
 pub use telemetry::{
     EventLog, FrameRejectCause, JsonlSink, NullObserver, RoundObserver, TelemetryError,

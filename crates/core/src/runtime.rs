@@ -29,8 +29,8 @@ use std::time::Instant;
 use fedpkd_netsim::{CommLedger, DropCause, RoundContext};
 
 use crate::snapshot::{
-    check_algorithm, AlgorithmState, SnapshotError, SnapshotReader, SnapshotStreamReader,
-    SnapshotStreamWriter, SnapshotWriter, StateSink, StateSource,
+    AlgorithmState, SnapshotError, SnapshotStreamReader, SnapshotStreamWriter, StateSink,
+    StateSource,
 };
 use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
 
@@ -235,10 +235,10 @@ pub trait Federation {
     /// moments, RNG positions, caches, driver book-keeping — into `w`, at
     /// the current round boundary.
     ///
-    /// This is the one serialization an algorithm writes; the provided
-    /// [`snapshot`](Self::snapshot) (buffered) and
-    /// [`snapshot_to`](Self::snapshot_to) (streaming) envelopes both drive
-    /// it, so the payload bytes are identical either way.
+    /// This is the one serialization an algorithm writes;
+    /// [`snapshot_to`](Self::snapshot_to) frames it in the snapshot
+    /// envelope, and [`snapshot`](Self::snapshot) keeps that envelope in
+    /// memory.
     fn write_state(&self, w: &mut dyn StateSink);
 
     /// Decodes state written by [`write_state`](Self::write_state) from `r`
@@ -257,38 +257,33 @@ pub trait Federation {
     fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError>;
 
     /// Captures the algorithm's complete owned state at the current round
-    /// boundary as an in-memory [`AlgorithmState`].
+    /// boundary as an in-memory [`AlgorithmState`]: exactly the bytes
+    /// [`snapshot_to`](Self::snapshot_to) writes.
     ///
     /// The contract (verified end to end by `tests/checkpoint.rs`) is that
     /// [`restore`](Self::restore)-ing the snapshot into a freshly
     /// constructed same-config instance and continuing yields bit-identical
     /// results to never having stopped.
     fn snapshot(&self) -> AlgorithmState {
-        let mut w = SnapshotWriter::new();
-        self.write_state(&mut w);
-        AlgorithmState::new(self.name(), w.into_bytes())
+        let mut bytes = Vec::new();
+        self.snapshot_to(&mut bytes)
+            .expect("writing a snapshot into a Vec cannot fail");
+        AlgorithmState::from_written(self.name(), bytes)
     }
 
     /// Restores state captured by [`snapshot`](Self::snapshot) into this
-    /// instance.
+    /// instance: [`restore_from`](Self::restore_from) over its bytes.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::AlgorithmMismatch`] when the snapshot belongs to a
-    /// different algorithm, and the decoding errors of
-    /// [`crate::snapshot`] for truncated/corrupt/mismatched payloads. On
-    /// error the instance may have been partially overwritten and should
-    /// be discarded, not reused.
+    /// See [`restore_from`](Self::restore_from).
     fn restore(&mut self, state: &AlgorithmState) -> Result<(), SnapshotError> {
-        check_algorithm(state, self.name())?;
-        let mut r = SnapshotReader::new(state.payload());
-        self.read_state(&mut r)?;
-        r.finish()
+        self.restore_from(&mut state.as_bytes())
     }
 
-    /// Streams a complete snapshot straight into `sink` as a v2 chunked
-    /// envelope (see [`crate::snapshot`]) — the state is encoded through a
-    /// fixed 64 KiB staging buffer, so checkpointing a 10k-client fleet
+    /// Streams a complete snapshot straight into `sink` (see
+    /// [`crate::snapshot`] for the envelope) — the state is encoded through
+    /// a fixed 64 KiB staging buffer, so checkpointing a 10k-client fleet
     /// never materializes a whole-fleet byte vector.
     ///
     /// # Errors
@@ -300,52 +295,25 @@ pub trait Federation {
         w.finish()
     }
 
-    /// Restores a snapshot from `source` — either envelope version: v2
-    /// streams chunk by chunk, v1 (the [`AlgorithmState::to_bytes`] format)
-    /// is buffered for compatibility with snapshots written before the
-    /// streaming codec existed.
+    /// Restores a snapshot from `source`, chunk by chunk.
     ///
     /// # Errors
     ///
-    /// See [`restore`](Self::restore), plus [`SnapshotError::Io`] if
-    /// `source` fails.
+    /// [`SnapshotError::AlgorithmMismatch`] when the snapshot belongs to a
+    /// different algorithm, the decoding errors of [`crate::snapshot`] for
+    /// truncated/corrupt/mismatched bytes, and [`SnapshotError::Io`] if
+    /// `source` fails. On error the instance may have been partially
+    /// overwritten and should be discarded, not reused.
     fn restore_from(&mut self, source: &mut dyn std::io::Read) -> Result<(), SnapshotError> {
-        let mut header = [0u8; 8];
-        source.read_exact(&mut header).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated
-            } else {
-                SnapshotError::from(e)
-            }
-        })?;
-        if header[..4] != crate::snapshot::SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
+        let (mut r, name) = SnapshotStreamReader::open(source)?;
+        if name != self.name() {
+            return Err(SnapshotError::AlgorithmMismatch {
+                expected: self.name().to_string(),
+                found: name,
+            });
         }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        match version {
-            crate::snapshot::SNAPSHOT_VERSION => {
-                // v1 has no chunk framing, so it cannot be decoded
-                // incrementally; buffer it whole, as its writer did.
-                let mut bytes = header.to_vec();
-                source.read_to_end(&mut bytes)?;
-                self.restore(&AlgorithmState::from_bytes(&bytes)?)
-            }
-            crate::snapshot::SNAPSHOT_STREAM_VERSION => {
-                let (mut r, name) = SnapshotStreamReader::after_header(source)?;
-                if name != self.name() {
-                    return Err(SnapshotError::AlgorithmMismatch {
-                        expected: self.name().to_string(),
-                        found: name,
-                    });
-                }
-                self.read_state(&mut r)?;
-                r.finish()
-            }
-            other => Err(SnapshotError::UnsupportedVersion {
-                found: other,
-                supported: crate::snapshot::SNAPSHOT_STREAM_VERSION,
-            }),
-        }
+        self.read_state(&mut r)?;
+        r.finish()
     }
 }
 
@@ -382,20 +350,6 @@ pub trait FlAlgorithm {
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
     ) -> RoundMetrics;
-
-    /// Captures the algorithm's complete owned state at the current round
-    /// boundary without announcing it (see [`Federation::snapshot`] and
-    /// [`Driver::snapshot`](crate::driver::Driver::snapshot)).
-    fn snapshot_state(&self) -> AlgorithmState;
-
-    /// Restores state captured by [`snapshot_state`](Self::snapshot_state)
-    /// into this same-config instance.
-    ///
-    /// # Errors
-    ///
-    /// See [`Federation::restore`]. On error the instance may be partially
-    /// overwritten and should be discarded.
-    fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), SnapshotError>;
 }
 
 impl<F: Federation> FlAlgorithm for F {
@@ -465,14 +419,6 @@ impl<F: Federation> FlAlgorithm for F {
         let driver = self.driver_mut();
         driver.rounds_driven = driver.rounds_driven.max(round + 1);
         metrics
-    }
-
-    fn snapshot_state(&self) -> AlgorithmState {
-        Federation::snapshot(self)
-    }
-
-    fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), SnapshotError> {
-        Federation::restore(self, state)
     }
 }
 
@@ -763,11 +709,11 @@ mod tests {
     fn snapshot_survives_the_byte_codec() {
         let mut fed = FakeFed::new();
         let _ = Driver::rounds(2).run_silent(&mut fed);
-        let state = fed.snapshot_state();
+        let state = fed.snapshot();
         let bytes = state.to_bytes();
         let decoded = AlgorithmState::from_bytes(&bytes).unwrap();
         let mut restored = FakeFed::new();
-        restored.restore_state(&decoded).unwrap();
+        restored.restore(&decoded).unwrap();
         assert_eq!(restored.rounds_driven(), 2);
         assert_eq!(restored.acc, fed.acc);
         assert_eq!(restored.driver, fed.driver);
@@ -798,8 +744,8 @@ mod tests {
                 },
             ) => {
                 assert_eq!((*r0, *r1), (1, 1));
-                assert_eq!(*b0, state.encoded_len());
-                assert_eq!(*b1, state.encoded_len());
+                assert_eq!(*b0, state.as_bytes().len());
+                assert_eq!(*b1, state.as_bytes().len());
             }
             other => panic!("unexpected events {other:?}"),
         }
@@ -807,8 +753,12 @@ mod tests {
 
     #[test]
     fn restore_rejects_foreign_snapshots() {
-        let state = AlgorithmState::new("NotFake", Vec::new());
-        let err = FakeFed::new().restore_state(&state).unwrap_err();
+        let mut bytes = Vec::new();
+        SnapshotStreamWriter::new(&mut bytes, "NotFake")
+            .finish()
+            .unwrap();
+        let state = AlgorithmState::from_bytes(&bytes).unwrap();
+        let err = FakeFed::new().restore(&state).unwrap_err();
         assert_eq!(
             err,
             SnapshotError::AlgorithmMismatch {

@@ -3,59 +3,53 @@
 //! Every algorithm in this workspace is split into a *config* half (static,
 //! rebuilt from code) and a *state* half (models, optimizer moments, RNG
 //! positions, caches, driver book-keeping). This module gives the state
-//! half a byte representation: [`Federation::snapshot`] packs it into an
-//! [`AlgorithmState`], [`AlgorithmState::to_bytes`] frames it with a magic
-//! number, format version, and checksum, and
-//! [`Federation::restore`] rebuilds a fresh same-config instance into the
-//! exact saved state. Because the whole stack is deterministic (seeded
-//! xoshiro streams, ordered reductions, pure fault plans), a restored run
-//! is **bit-identical** to one that never stopped — which makes the codec
-//! double as a correctness oracle for the rest of the codebase.
+//! half a byte representation: [`Federation::snapshot_to`] streams it into
+//! any [`std::io::Write`] framed with a magic number, format version, and
+//! checksum, and [`Federation::restore_from`] rebuilds a fresh same-config
+//! instance into the exact saved state. Because the whole stack is
+//! deterministic (seeded xoshiro streams, ordered reductions, pure fault
+//! plans), a restored run is **bit-identical** to one that never stopped —
+//! which makes the codec double as a correctness oracle for the rest of the
+//! codebase.
 //!
-//! [`Federation::snapshot`]: crate::runtime::Federation::snapshot
-//! [`Federation::restore`]: crate::runtime::Federation::restore
+//! [`Federation::snapshot_to`]: crate::runtime::Federation::snapshot_to
+//! [`Federation::restore_from`]: crate::runtime::Federation::restore_from
 //!
 //! # Wire format
 //!
-//! All integers are little-endian; lengths are `u64`. The buffered (v1)
-//! envelope is
+//! All integers are little-endian. The envelope is a chunk sequence, so
+//! neither writer nor reader ever holds the whole payload in memory:
 //!
 //! ```text
-//! magic "FPKD" (4) · version u32 = 1 · algorithm name (len + utf8)
-//! · payload (len + bytes) · FNV-1a64 checksum of everything before it (8)
-//! ```
-//!
-//! The streaming (v2) envelope replaces the single length-prefixed payload
-//! with a chunk sequence, so neither writer nor reader ever holds the whole
-//! payload in memory:
-//!
-//! ```text
-//! magic "FPKD" (4) · version u32 = 2 · algorithm name (len + utf8)
+//! magic "FPKD" (4) · version u32 = 2 · algorithm name (u64 len + utf8)
 //! · chunks (u32 len > 0 · bytes)* · u32 0 sentinel
 //! · FNV-1a64 checksum of everything before it (8)
 //! ```
 //!
-//! [`SnapshotStreamWriter`] produces v2 directly into any
-//! [`std::io::Write`]; [`SnapshotStreamReader`] consumes it from any
-//! [`std::io::Read`]. [`AlgorithmState::from_bytes`] decodes both versions,
-//! so v1 snapshots on disk stay restorable forever.
+//! There is one encoder, [`SnapshotStreamWriter`], and one decoder,
+//! [`SnapshotStreamReader`]. An in-memory snapshot ([`AlgorithmState`]) is
+//! the same envelope held in a buffer: its
+//! [`to_bytes`](AlgorithmState::to_bytes) are exactly what
+//! [`Federation::snapshot_to`] writes.
 //!
 //! The payload layout is private to each algorithm, assembled from the
 //! primitives of [`StateSink`]/[`StateSource`] and the typed helpers below
 //! ([`write_model`], [`write_adam`], [`write_clients`], [`write_driver`],
-//! …). The same payload bytes flow through either envelope. Truncated,
-//! corrupted, or mismatched bytes surface as typed [`SnapshotError`]s —
-//! decoding never panics.
+//! …). Truncated, corrupted, or mismatched bytes surface as typed
+//! [`SnapshotError`]s — decoding never panics.
 //!
 //! # Examples
 //!
 //! ```
-//! use fedpkd_core::snapshot::{AlgorithmState, SnapshotError};
+//! use fedpkd_core::snapshot::{AlgorithmState, SnapshotError, SnapshotStreamWriter, StateSink};
 //!
-//! let state = AlgorithmState::new("FedAvg", vec![1, 2, 3]);
-//! let bytes = state.to_bytes();
-//! assert_eq!(bytes.len(), state.encoded_len());
-//! assert_eq!(AlgorithmState::from_bytes(&bytes)?, state);
+//! let mut bytes = Vec::new();
+//! let mut w = SnapshotStreamWriter::new(&mut bytes, "FedAvg");
+//! w.put_raw(&[1, 2, 3]);
+//! w.finish()?;
+//! let state = AlgorithmState::from_bytes(&bytes)?;
+//! assert_eq!(state.algorithm(), "FedAvg");
+//! assert_eq!(state.to_bytes(), bytes);
 //!
 //! // A flipped payload bit is caught by the checksum.
 //! let mut corrupt = bytes.clone();
@@ -81,19 +75,19 @@ use fedpkd_tensor::Tensor;
 /// The 4-byte magic number opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FPKD";
 
-/// The buffered snapshot format version ([`AlgorithmState::to_bytes`]).
+/// The snapshot envelope version.
 ///
-/// Bump on any layout change; decoding rejects unknown versions with
+/// Bump on any layout change; decoding rejects other versions with
 /// [`SnapshotError::UnsupportedVersion`] rather than misinterpreting bytes.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// The chunked streaming envelope version ([`SnapshotStreamWriter`]).
-pub const SNAPSHOT_STREAM_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Payload bytes per streaming chunk. Chunks the writer emits are at most
 /// this large, and the reader rejects larger claims, which bounds the
 /// decoder's allocation no matter what the length fields say.
 const STREAM_CHUNK: usize = 64 * 1024;
+
+/// The FNV-1a64 offset basis: the running checksum before any byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,18 +153,7 @@ impl From<std::io::Error> for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a64 continuation: folds `bytes` into an in-progress hash — the
-/// streaming envelope's running-checksum form of [`fnv1a`].
+/// FNV-1a64 continuation: folds `bytes` into an in-progress hash.
 fn fnv1a_seeded(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
@@ -179,24 +162,24 @@ fn fnv1a_seeded(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// An algorithm's complete owned state, captured at a round boundary.
+/// A complete snapshot held in memory: an owned, fully validated envelope.
 ///
-/// The payload is an opaque algorithm-specific byte layout; the envelope
-/// ([`to_bytes`](Self::to_bytes)/[`from_bytes`](Self::from_bytes)) adds
-/// framing, versioning, and corruption detection so snapshots can safely
-/// travel through files, sockets, or object stores.
+/// The bytes are exactly what [`SnapshotStreamWriter`] writes, so an
+/// `AlgorithmState` can travel through files, sockets, or object stores and
+/// come back through either [`from_bytes`](Self::from_bytes) or a
+/// [`SnapshotStreamReader`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlgorithmState {
     algorithm: String,
-    payload: Vec<u8>,
+    bytes: Vec<u8>,
 }
 
 impl AlgorithmState {
-    /// Wraps an algorithm's serialized state.
-    pub fn new(algorithm: impl Into<String>, payload: Vec<u8>) -> Self {
+    /// Wraps an envelope the caller has just written for `algorithm`.
+    pub(crate) fn from_written(algorithm: &str, bytes: Vec<u8>) -> Self {
         Self {
-            algorithm: algorithm.into(),
-            payload,
+            algorithm: algorithm.to_string(),
+            bytes,
         }
     }
 
@@ -205,107 +188,51 @@ impl AlgorithmState {
         &self.algorithm
     }
 
-    /// The algorithm-specific state bytes.
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
+    /// The envelope bytes, borrowed.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Serializes the full envelope: magic, version, algorithm name,
-    /// payload, checksum.
+    /// The envelope bytes: magic, version, algorithm name, payload chunks,
+    /// checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.algorithm.len() as u64).to_le_bytes());
-        out.extend_from_slice(self.algorithm.as_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        self.bytes.clone()
     }
 
-    /// Exact length of [`to_bytes`](Self::to_bytes)' output, without
-    /// encoding.
-    pub fn encoded_len(&self) -> usize {
-        4 + 4 + 8 + self.algorithm.len() + 8 + self.payload.len() + 8
-    }
-
-    /// Decodes and validates an envelope produced by
-    /// [`to_bytes`](Self::to_bytes) (v1) or a [`SnapshotStreamWriter`]
-    /// (v2).
-    ///
-    /// The name and payload are borrowed straight from `bytes` during
-    /// validation and copied exactly once, into the returned owner.
+    /// Decodes and validates a whole envelope.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::BadMagic`] if the bytes are not a snapshot,
     /// [`SnapshotError::UnsupportedVersion`] for other format versions,
-    /// [`SnapshotError::Truncated`] if the stream ends early,
-    /// [`SnapshotError::Malformed`] for trailing garbage or invalid UTF-8,
-    /// and [`SnapshotError::ChecksumMismatch`] if the content was
+    /// [`SnapshotError::Truncated`] if the bytes end early,
+    /// [`SnapshotError::Malformed`] for trailing garbage or a bad name
+    /// field, and [`SnapshotError::ChecksumMismatch`] if the content was
     /// corrupted in transit.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < SNAPSHOT_MAGIC.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[SNAPSHOT_MAGIC.len()..]);
-        let version = r.take_u32()?;
-        let state = match version {
-            SNAPSHOT_VERSION => {
-                let algorithm = r.take_str_ref()?;
-                let payload = r.take_blob_ref()?;
-                Self {
-                    algorithm: algorithm.to_string(),
-                    payload: payload.to_vec(),
-                }
-            }
-            SNAPSHOT_STREAM_VERSION => {
-                let algorithm = r.take_str_ref()?.to_string();
-                let mut payload = Vec::new();
-                loop {
-                    let len = r.take_u32()? as usize;
-                    if len == 0 {
-                        break;
-                    }
-                    if len > STREAM_CHUNK {
-                        return Err(SnapshotError::Malformed(format!(
-                            "stream chunk of {len} bytes exceeds the {STREAM_CHUNK} cap"
-                        )));
-                    }
-                    payload.extend_from_slice(r.take_ref(len)?);
-                }
-                Self { algorithm, payload }
-            }
-            other => {
-                return Err(SnapshotError::UnsupportedVersion {
-                    found: other,
-                    supported: SNAPSHOT_STREAM_VERSION,
-                })
-            }
-        };
-        let stored = r.take_u64()?;
+        let mut source = bytes;
+        let (mut r, algorithm) = SnapshotStreamReader::open(&mut source)?;
+        r.skip_payload()?;
         r.finish()?;
-        if fnv1a(&bytes[..bytes.len() - 8]) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
+        if !source.is_empty() {
+            return Err(SnapshotError::Malformed(format!(
+                "{} trailing bytes",
+                source.len()
+            )));
         }
-        Ok(state)
+        Ok(Self {
+            algorithm,
+            bytes: bytes.to_vec(),
+        })
     }
 }
 
 /// A little-endian binary sink snapshot payloads are encoded into.
 ///
 /// The one required method is [`put_raw`](Self::put_raw); every typed
-/// `put_*` is layered on it, so a payload layout written against this
-/// trait produces identical bytes whether the sink is the in-memory
-/// [`SnapshotWriter`] or the chunked [`SnapshotStreamWriter`]. Sinks never
-/// fail at the encoding layer; streaming sinks defer I/O errors to their
-/// `finish` call, and the matching [`StateSource`] carries all the decode
-/// error handling.
+/// `put_*` is layered on it. Sinks never fail at the encoding layer:
+/// [`SnapshotStreamWriter`] defers I/O errors to its `finish` call, and
+/// the matching [`StateSource`] carries all the decode error handling.
 pub trait StateSink {
     /// Appends raw bytes.
     fn put_raw(&mut self, bytes: &[u8]);
@@ -364,32 +291,6 @@ pub trait StateSink {
             }
             self.put_raw(&staged[..chunk.len() * 4]);
         }
-    }
-}
-
-/// Little-endian in-memory encoder for snapshot payloads — the buffered
-/// [`StateSink`], used when the whole payload is wanted as one `Vec<u8>`
-/// (the v1 envelope and tests).
-#[derive(Debug, Default)]
-pub struct SnapshotWriter {
-    buf: Vec<u8>,
-}
-
-impl SnapshotWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-impl StateSink for SnapshotWriter {
-    fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -513,115 +414,7 @@ pub trait StateSource {
     }
 }
 
-/// Little-endian zero-copy decoder over an in-memory snapshot payload —
-/// the buffered [`StateSource`].
-///
-/// Beyond the trait, the slice-backed reader offers borrowing accessors
-/// ([`take_str_ref`](Self::take_str_ref),
-/// [`take_blob_ref`](Self::take_blob_ref)) that hand out sub-slices of the
-/// envelope buffer instead of copying, plus
-/// [`finish`](Self::finish)/[`remaining`](Self::remaining) for
-/// trailing-byte checks.
-#[derive(Debug)]
-pub struct SnapshotReader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> SnapshotReader<'a> {
-    /// Wraps a byte slice for decoding.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.bytes.len() < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let (head, rest) = self.bytes.split_at(n);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    /// Borrows the next `n` bytes from the underlying buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] if fewer than `n` bytes remain.
-    pub fn take_ref(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string as a borrow of the buffer —
-    /// no intermediate copy; the caller decides if and where to own it.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on invalid UTF-8.
-    pub fn take_str_ref(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.take_usize()?;
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw).map_err(|_| SnapshotError::Malformed("string is not UTF-8".into()))
-    }
-
-    /// Reads a length-prefixed byte blob as a borrow of the buffer.
-    pub fn take_blob_ref(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.take_usize()?;
-        self.take(len)
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Asserts the stream was fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] if bytes remain.
-    pub fn finish(&self) -> Result<(), SnapshotError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes",
-                self.bytes.len()
-            )))
-        }
-    }
-}
-
-impl StateSource for SnapshotReader<'_> {
-    fn take_into(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
-        out.copy_from_slice(self.take(out.len())?);
-        Ok(())
-    }
-
-    // Slice-backed overrides: decode in one pass over a direct borrow
-    // instead of staging through the generic fixed-size buffer.
-
-    fn take_str(&mut self) -> Result<String, SnapshotError> {
-        self.take_str_ref().map(str::to_string)
-    }
-
-    fn take_blob(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        self.take_blob_ref().map(<[u8]>::to_vec)
-    }
-
-    fn take_f32s(&mut self) -> Result<Vec<f32>, SnapshotError> {
-        let len = self.take_usize()?;
-        let raw = self.take(
-            len.checked_mul(4)
-                .ok_or_else(|| SnapshotError::Malformed("f32 slice length overflows".into()))?,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-}
-
-/// A [`StateSink`] that streams the v2 chunked envelope straight into any
+/// The one snapshot encoder: a [`StateSink`] that streams the envelope into any
 /// [`std::io::Write`], keeping a running FNV-1a64 checksum.
 ///
 /// Payload bytes are staged in a single `STREAM_CHUNK`-sized buffer and
@@ -638,17 +431,17 @@ pub struct SnapshotStreamWriter<'w> {
 }
 
 impl<'w> SnapshotStreamWriter<'w> {
-    /// Opens a v2 envelope on `sink` for algorithm `name`, emitting the
+    /// Opens an envelope on `sink` for algorithm `name`, emitting the
     /// header (magic, version, name) immediately.
     pub fn new(sink: &'w mut dyn std::io::Write, name: &str) -> Self {
         let mut w = Self {
             sink,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: FNV_OFFSET,
             chunk: Vec::with_capacity(STREAM_CHUNK),
             error: None,
         };
         w.emit(&SNAPSHOT_MAGIC);
-        w.emit(&SNAPSHOT_STREAM_VERSION.to_le_bytes());
+        w.emit(&SNAPSHOT_VERSION.to_le_bytes());
         w.emit(&(name.len() as u64).to_le_bytes());
         w.emit(name.as_bytes());
         w
@@ -722,7 +515,7 @@ impl std::fmt::Debug for SnapshotStreamWriter<'_> {
     }
 }
 
-/// A [`StateSource`] that decodes the v2 chunked envelope from any
+/// The one snapshot decoder: a [`StateSource`] that reads the envelope from any
 /// [`std::io::Read`], verifying the running checksum at
 /// [`finish`](Self::finish).
 ///
@@ -738,7 +531,7 @@ pub struct SnapshotStreamReader<'r> {
 }
 
 impl<'r> SnapshotStreamReader<'r> {
-    /// Opens a v2 envelope, consuming and validating the header; returns
+    /// Opens an envelope, consuming and validating the header; returns
     /// the reader positioned at the first payload byte plus the algorithm
     /// name from the header.
     ///
@@ -748,40 +541,26 @@ impl<'r> SnapshotStreamReader<'r> {
     /// [`SnapshotError::Io`]/[`SnapshotError::Truncated`] on source
     /// failure, or [`SnapshotError::Malformed`] on a bad name field.
     pub fn open(source: &'r mut dyn std::io::Read) -> Result<(Self, String), SnapshotError> {
-        let mut header = [0u8; 8];
-        read_exact(source, &mut header)?;
-        if header[..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != SNAPSHOT_STREAM_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_STREAM_VERSION,
-            });
-        }
-        Self::after_header(source)
-    }
-
-    /// As [`open`](Self::open), but for a source whose 8 header bytes
-    /// (magic + version, already validated as v2) were consumed by the
-    /// caller — the version-sniffing entry point
-    /// [`Federation::restore_from`](crate::runtime::Federation::restore_from)
-    /// needs this to fall back to the v1 decoder without rewinding.
-    pub fn after_header(
-        source: &'r mut dyn std::io::Read,
-    ) -> Result<(Self, String), SnapshotError> {
         let mut r = Self {
             source,
-            // The running hash over the constant 8-byte header prefix.
-            hash: fnv1a_seeded(
-                fnv1a_seeded(0xcbf2_9ce4_8422_2325, &SNAPSHOT_MAGIC),
-                &SNAPSHOT_STREAM_VERSION.to_le_bytes(),
-            ),
+            hash: FNV_OFFSET,
             chunk: Vec::new(),
             pos: 0,
             done: false,
         };
+        let mut word = [0u8; 4];
+        r.pull(&mut word)?;
+        if word != SNAPSHOT_MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        r.pull(&mut word)?;
+        let version = u32::from_le_bytes(word);
+        if version != SNAPSHOT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion {
+                found: version,
+                supported: SNAPSHOT_VERSION,
+            });
+        }
         let mut len = [0u8; 8];
         r.pull(&mut len)?;
         let len = usize::try_from(u64::from_le_bytes(len))
@@ -826,6 +605,17 @@ impl<'r> SnapshotStreamReader<'r> {
         let result = self.pull(&mut chunk);
         self.chunk = chunk;
         result
+    }
+
+    /// Consumes the rest of the payload unread, up to the sentinel.
+    fn skip_payload(&mut self) -> Result<(), SnapshotError> {
+        loop {
+            self.pos = self.chunk.len();
+            if self.done {
+                return Ok(());
+            }
+            self.next_chunk()?;
+        }
     }
 
     /// Verifies the end of the envelope: the payload must be exactly
@@ -911,22 +701,6 @@ fn read_exact(source: &mut dyn std::io::Read, out: &mut [u8]) -> Result<(), Snap
 // Typed helpers for the state shared by FedPKD and the baselines.
 // ---------------------------------------------------------------------------
 
-/// Guards a restore: the snapshot must name the restoring algorithm.
-///
-/// # Errors
-///
-/// [`SnapshotError::AlgorithmMismatch`] otherwise.
-pub fn check_algorithm(state: &AlgorithmState, expected: &str) -> Result<(), SnapshotError> {
-    if state.algorithm() == expected {
-        Ok(())
-    } else {
-        Err(SnapshotError::AlgorithmMismatch {
-            expected: expected.to_string(),
-            found: state.algorithm().to_string(),
-        })
-    }
-}
-
 /// Writes an RNG's raw xoshiro state (4 × u64).
 pub fn write_rng(w: &mut dyn StateSink, rng: &Rng) {
     for word in rng.state() {
@@ -964,8 +738,8 @@ pub fn write_tensor(w: &mut dyn StateSink, t: &Tensor) {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Malformed`] if the data length disagrees with the
-/// shape.
+/// [`SnapshotError::Malformed`] if the shape's element count overflows
+/// `usize` or the data length disagrees with the shape.
 pub fn read_tensor(r: &mut dyn StateSource) -> Result<Tensor, SnapshotError> {
     let rank = r.take_usize()?;
     if rank > 8 {
@@ -974,6 +748,15 @@ pub fn read_tensor(r: &mut dyn StateSource) -> Result<Tensor, SnapshotError> {
     let mut shape = Vec::with_capacity(rank);
     for _ in 0..rank {
         shape.push(r.take_usize()?);
+    }
+    if shape
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .is_none()
+    {
+        return Err(SnapshotError::Malformed(format!(
+            "tensor shape {shape:?} overflows usize"
+        )));
     }
     let data = r.take_f32s()?;
     Tensor::from_vec(data, &shape).map_err(|e| SnapshotError::Malformed(format!("bad tensor: {e}")))
@@ -1011,33 +794,79 @@ pub fn write_adam(w: &mut dyn StateSink, opt: &Adam) {
     }
 }
 
-/// Reads Adam state written by [`write_adam`] into `opt`.
+/// Reads Adam state written by [`write_adam`] into `opt`, which steps
+/// `model` (already restored, so its parameter shapes are final).
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Malformed`] on a non-positive learning rate or
-/// mismatched moment pairs.
-pub fn read_adam(r: &mut dyn StateSource, opt: &mut Adam) -> Result<(), SnapshotError> {
+/// [`SnapshotError::Malformed`] on a non-positive learning rate, or unless
+/// the moments are empty (never stepped) or exactly one per parameter of
+/// `model` with that parameter's shape.
+pub fn read_adam(
+    r: &mut dyn StateSource,
+    opt: &mut Adam,
+    model: &dyn Layer,
+) -> Result<(), SnapshotError> {
     use fedpkd_tensor::optim::Optimizer;
+    let (lr, t, m, v) = read_adam_parts(r, &param_shapes(model))?;
+    opt.set_learning_rate(lr);
+    opt.restore_state(t, m, v);
+    Ok(())
+}
+
+/// The shapes of `model`'s parameters in visitation order — the order
+/// Adam keeps its moments in.
+pub(crate) fn param_shapes(model: &dyn Layer) -> Vec<Vec<usize>> {
+    let mut shapes = Vec::new();
+    model.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
+    shapes
+}
+
+/// Decodes [`write_adam`]'s layout as `(learning rate, step count, first
+/// moments, second moments)` — the parts of
+/// [`Adam::into_state`] — for a model whose parameters have
+/// `param_shapes`, in visitation order.
+///
+/// # Errors
+///
+/// [`SnapshotError::Malformed`] on a non-positive learning rate, or unless
+/// the moments are empty (never stepped) or exactly one per parameter with
+/// that parameter's shape.
+pub(crate) fn read_adam_parts(
+    r: &mut dyn StateSource,
+    param_shapes: &[Vec<usize>],
+) -> Result<(f32, u64, Vec<Tensor>, Vec<Tensor>), SnapshotError> {
     let lr = r.take_f32()?;
     if !(lr.is_finite() && lr > 0.0) {
         return Err(SnapshotError::Malformed(format!("bad learning rate {lr}")));
     }
     let t = r.take_u64()?;
     let count = r.take_usize()?;
+    if count != 0 && count != param_shapes.len() {
+        return Err(SnapshotError::Malformed(format!(
+            "{count} moment tensors for a model with {} parameters",
+            param_shapes.len()
+        )));
+    }
     let read_moments = |r: &mut dyn StateSource| -> Result<Vec<Tensor>, SnapshotError> {
-        (0..count).map(|_| read_tensor(r)).collect()
+        param_shapes[..count]
+            .iter()
+            .map(|shape| {
+                let moment = read_tensor(r)?;
+                if moment.shape() == shape.as_slice() {
+                    Ok(moment)
+                } else {
+                    Err(SnapshotError::Malformed(format!(
+                        "moment of shape {:?} for a parameter of shape {shape:?}",
+                        moment.shape()
+                    )))
+                }
+            })
+            .collect()
     };
     let m = read_moments(r)?;
     let v = read_moments(r)?;
-    for (m_i, v_i) in m.iter().zip(&v) {
-        if m_i.shape() != v_i.shape() {
-            return Err(SnapshotError::Malformed("moment shapes differ".into()));
-        }
-    }
-    opt.set_learning_rate(lr);
-    opt.restore_state(t, m, v);
-    Ok(())
+    Ok((lr, t, m, v))
 }
 
 /// Writes one client's full state: model, optimizer, RNG stream.
@@ -1054,7 +883,7 @@ pub fn write_client(w: &mut dyn StateSink, client: &ClientState) {
 /// Propagates the model/optimizer/RNG decoding errors.
 pub fn read_client(r: &mut dyn StateSource, client: &mut ClientState) -> Result<(), SnapshotError> {
     read_model(r, &mut client.model)?;
-    read_adam(r, &mut client.optimizer)?;
+    read_adam(r, &mut client.optimizer, &client.model)?;
     client.rng = read_rng(r)?;
     Ok(())
 }
@@ -1220,27 +1049,61 @@ pub fn read_opt_tensors(r: &mut dyn StateSource) -> Result<Vec<Option<Tensor>>, 
     Ok(out)
 }
 
+/// Frames whatever `write` emits in an envelope, for tests of the typed
+/// helpers.
+#[cfg(test)]
+pub(crate) fn framed(write: impl FnOnce(&mut dyn StateSink)) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = SnapshotStreamWriter::new(&mut bytes, "test");
+    write(&mut w);
+    w.finish().expect("writing into a Vec cannot fail");
+    bytes
+}
+
+/// Decodes the payload of `bytes` with `read`, then checks that the whole
+/// envelope was consumed — the test-side inverse of [`framed`].
+#[cfg(test)]
+pub(crate) fn unframed<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut dyn StateSource) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut source = bytes;
+    let (mut r, _) = SnapshotStreamReader::open(&mut source)?;
+    let out = read(&mut r)?;
+    r.finish()?;
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_state() -> AlgorithmState {
-        AlgorithmState::new("FedPKD", vec![0xAB; 100])
+    fn sample_bytes() -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut w = SnapshotStreamWriter::new(&mut bytes, "FedPKD");
+        w.put_raw(&[0xAB; 100]);
+        w.finish().unwrap();
+        bytes
     }
 
     #[test]
     fn envelope_round_trips() {
-        let state = sample_state();
-        let bytes = state.to_bytes();
-        assert_eq!(bytes.len(), state.encoded_len());
-        assert_eq!(AlgorithmState::from_bytes(&bytes).unwrap(), state);
+        let bytes = sample_bytes();
+        let state = AlgorithmState::from_bytes(&bytes).unwrap();
+        assert_eq!(state.to_bytes(), bytes);
         assert_eq!(state.algorithm(), "FedPKD");
-        assert_eq!(state.payload().len(), 100);
+        let payload = unframed(&bytes, |r| {
+            let mut payload = [0u8; 100];
+            r.take_into(&mut payload)?;
+            Ok(payload)
+        })
+        .unwrap();
+        assert_eq!(payload, [0xAB; 100]);
     }
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let bytes = sample_state().to_bytes();
+        let bytes = sample_bytes();
         for len in 0..bytes.len() {
             let err = AlgorithmState::from_bytes(&bytes[..len])
                 .expect_err("truncated snapshot must not decode");
@@ -1256,7 +1119,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let bytes = sample_state().to_bytes();
+        let bytes = sample_bytes();
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
@@ -1269,7 +1132,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_reported_first() {
-        let mut bytes = sample_state().to_bytes();
+        let mut bytes = sample_bytes();
         bytes[0] = b'X';
         assert_eq!(
             AlgorithmState::from_bytes(&bytes),
@@ -1279,93 +1142,104 @@ mod tests {
 
     #[test]
     fn future_versions_are_rejected() {
-        let mut bytes = sample_state().to_bytes();
-        bytes[4..8].copy_from_slice(&(SNAPSHOT_STREAM_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            AlgorithmState::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion {
-                found: SNAPSHOT_STREAM_VERSION + 1,
-                supported: SNAPSHOT_STREAM_VERSION,
-            })
-        );
+        use crate::runtime::Federation;
+
+        // Version 1 (the retired buffered envelope) and any later version.
+        for found in [1, SNAPSHOT_VERSION + 1] {
+            let mut bytes = sample_bytes();
+            bytes[4..8].copy_from_slice(&found.to_le_bytes());
+            let expected = Err(SnapshotError::UnsupportedVersion {
+                found,
+                supported: SNAPSHOT_VERSION,
+            });
+            assert_eq!(AlgorithmState::from_bytes(&bytes), expected.clone());
+            let mut fed = crate::fleet::FleetSim::new(1, 4, 8, 5);
+            assert_eq!(
+                fed.restore_from(&mut bytes.as_slice()),
+                expected.map(|_| ())
+            );
+        }
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = sample_state().to_bytes();
+        let mut bytes = sample_bytes();
         bytes.push(0);
         assert!(AlgorithmState::from_bytes(&bytes).is_err());
     }
 
     #[test]
     fn primitives_round_trip() {
-        let mut w = SnapshotWriter::new();
-        w.put_u8(7);
-        w.put_u32(u32::MAX);
-        w.put_u64(u64::MAX - 1);
-        w.put_usize(42);
-        w.put_f32(-0.0);
-        w.put_f64(std::f64::consts::PI);
-        w.put_bool(true);
-        w.put_str("héllo");
-        w.put_f32s(&[1.0, f32::NAN, -3.5]);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(r.take_u8().unwrap(), 7);
-        assert_eq!(r.take_u32().unwrap(), u32::MAX);
-        assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.take_usize().unwrap(), 42);
-        assert_eq!(r.take_f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert_eq!(r.take_f64().unwrap(), std::f64::consts::PI);
-        assert!(r.take_bool().unwrap());
-        assert_eq!(r.take_str().unwrap(), "héllo");
-        let fs = r.take_f32s().unwrap();
-        assert_eq!(fs.len(), 3);
-        assert_eq!(fs[0], 1.0);
-        assert!(fs[1].is_nan());
-        assert_eq!(fs[2], -3.5);
-        r.finish().unwrap();
-        assert_eq!(r.remaining(), 0);
+        let bytes = framed(|w| {
+            w.put_u8(7);
+            w.put_u32(u32::MAX);
+            w.put_u64(u64::MAX - 1);
+            w.put_usize(42);
+            w.put_f32(-0.0);
+            w.put_f64(std::f64::consts::PI);
+            w.put_bool(true);
+            w.put_str("héllo");
+            w.put_f32s(&[1.0, f32::NAN, -3.5]);
+        });
+        unframed(&bytes, |r| {
+            assert_eq!(r.take_u8().unwrap(), 7);
+            assert_eq!(r.take_u32().unwrap(), u32::MAX);
+            assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
+            assert_eq!(r.take_usize().unwrap(), 42);
+            assert_eq!(r.take_f32().unwrap().to_bits(), (-0.0f32).to_bits());
+            assert_eq!(r.take_f64().unwrap(), std::f64::consts::PI);
+            assert!(r.take_bool().unwrap());
+            assert_eq!(r.take_str().unwrap(), "héllo");
+            let fs = r.take_f32s().unwrap();
+            assert_eq!(fs.len(), 3);
+            assert_eq!(fs[0], 1.0);
+            assert!(fs[1].is_nan());
+            assert_eq!(fs[2], -3.5);
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]
     fn reader_rejects_bad_bool_and_truncation() {
-        let mut r = SnapshotReader::new(&[2]);
-        assert!(matches!(r.take_bool(), Err(SnapshotError::Malformed(_))));
-        let mut r = SnapshotReader::new(&[1, 2, 3]);
-        assert_eq!(r.take_u64(), Err(SnapshotError::Truncated));
-        let r = SnapshotReader::new(&[0]);
-        assert!(r.finish().is_err());
+        let bad_bool = framed(|w| w.put_u8(2));
+        assert!(matches!(
+            unframed(&bad_bool, |r| r.take_bool()),
+            Err(SnapshotError::Malformed(_))
+        ));
+        let short = framed(|w| w.put_raw(&[1, 2, 3]));
+        assert_eq!(
+            unframed(&short, |r| r.take_u64()),
+            Err(SnapshotError::Truncated)
+        );
+        let unread = framed(|w| w.put_u8(0));
+        assert!(unframed(&unread, |_| Ok(())).is_err());
     }
 
     #[test]
     fn rng_round_trips_mid_stream() {
         let mut rng = Rng::seed_from_u64(9);
         let _ = rng.next_u64();
-        let mut w = SnapshotWriter::new();
-        write_rng(&mut w, &rng);
+        let bytes = framed(|w| write_rng(w, &rng));
         let expected = rng.next_u64();
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        let mut restored = read_rng(&mut r).unwrap();
+        let mut restored = unframed(&bytes, read_rng).unwrap();
         assert_eq!(restored.next_u64(), expected);
     }
 
     #[test]
     fn all_zero_rng_state_is_malformed() {
-        let bytes = [0u8; 32];
-        let mut r = SnapshotReader::new(&bytes);
-        assert!(matches!(read_rng(&mut r), Err(SnapshotError::Malformed(_))));
+        let bytes = framed(|w| w.put_raw(&[0u8; 32]));
+        assert!(matches!(
+            unframed(&bytes, read_rng),
+            Err(SnapshotError::Malformed(_))
+        ));
     }
 
     #[test]
     fn tensor_round_trips_bitwise() {
         let t = Tensor::from_vec(vec![1.5, -0.0, f32::NAN, 7.25, 0.1, -9.0], &[2, 3]).unwrap();
-        let mut w = SnapshotWriter::new();
-        write_tensor(&mut w, &t);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        let back = read_tensor(&mut r).unwrap();
+        let bytes = framed(|w| write_tensor(w, &t));
+        let back = unframed(&bytes, read_tensor).unwrap();
         assert_eq!(back.shape(), t.shape());
         for (a, b) in back.as_slice().iter().zip(t.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1374,16 +1248,25 @@ mod tests {
 
     #[test]
     fn tensor_shape_data_mismatch_is_malformed() {
-        let mut w = SnapshotWriter::new();
-        w.put_usize(1); // rank
-        w.put_usize(4); // dim 4 …
-        w.put_f32s(&[1.0, 2.0]); // … but only 2 values
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        assert!(matches!(
-            read_tensor(&mut r),
-            Err(SnapshotError::Malformed(_))
-        ));
+        // (shape, values): a dim of 4 with only 2 values, and a shape whose
+        // element count overflows usize with no values at all.
+        let cases: [(&[usize], &[f32]); 2] = [(&[4], &[1.0, 2.0]), (&[1 << 32, 1 << 32], &[])];
+        for (shape, values) in cases {
+            let bytes = framed(|w| {
+                w.put_usize(shape.len());
+                for &dim in shape {
+                    w.put_usize(dim);
+                }
+                w.put_f32s(values);
+            });
+            assert!(
+                matches!(
+                    unframed(&bytes, read_tensor),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "shape {shape:?}"
+            );
+        }
     }
 
     #[test]
@@ -1398,12 +1281,9 @@ mod tests {
         layer.forward(&Tensor::zeros(&[1, 3]), true);
         layer.backward(&Tensor::from_vec(vec![0.5, -0.5], &[1, 2]).unwrap());
         opt.step(&mut layer);
-        let mut w = SnapshotWriter::new();
-        write_adam(&mut w, &opt);
-        let bytes = w.into_bytes();
+        let bytes = framed(|w| write_adam(w, &opt));
         let mut restored = Adam::new(0.5);
-        let mut r = SnapshotReader::new(&bytes);
-        read_adam(&mut r, &mut restored).unwrap();
+        unframed(&bytes, |r| read_adam(r, &mut restored, &layer)).unwrap();
         assert_eq!(restored.learning_rate(), 0.01);
         assert_eq!(restored.step_count(), 1);
         let (m0, v0) = opt.moments();
@@ -1415,17 +1295,58 @@ mod tests {
     }
 
     #[test]
+    fn restored_adam_moments_must_fit_their_model() {
+        use crate::clients::build_clients;
+        use fedpkd_tensor::models::{DepthTier, ModelSpec};
+        use fedpkd_tensor::nn::Linear;
+        use fedpkd_tensor::optim::Optimizer;
+
+        let spec = |tier| ModelSpec::ResMlp {
+            input_dim: 32,
+            num_classes: 10,
+            tier,
+        };
+        let mut clients = build_clients(&[spec(DepthTier::T11), spec(DepthTier::T20)], 0.003, 5);
+        for c in &mut clients {
+            c.optimizer.step(&mut c.model);
+        }
+        // A T11 client carrying a T20 client's Adam state: more moments
+        // than the model has parameters.
+        let (t11, t20) = (&clients[0], &clients[1]);
+        let bytes = framed(|w| {
+            write_model(w, &t11.model);
+            write_adam(w, &t20.optimizer);
+            write_rng(w, &t11.rng);
+        });
+        let mut victim = build_clients(&[spec(DepthTier::T11)], 0.003, 6).remove(0);
+        assert!(matches!(
+            unframed(&bytes, |r| read_client(r, &mut victim)),
+            Err(SnapshotError::Malformed(_))
+        ));
+        // As many moments as parameters, but of the wrong shapes.
+        let mut rng = Rng::seed_from_u64(4);
+        let mut narrow = Linear::new(3, 2, &mut rng);
+        let wide = Linear::new(4, 2, &mut rng);
+        let mut opt = Adam::new(0.01);
+        opt.step(&mut narrow);
+        let bytes = framed(|w| write_adam(w, &opt));
+        assert!(matches!(
+            unframed(&bytes, |r| read_adam(r, &mut Adam::new(0.01), &wide)),
+            Err(SnapshotError::Malformed(_))
+        ));
+        // A never-stepped optimizer (no moments) fits any model.
+        let bytes = framed(|w| write_adam(w, &Adam::new(0.01)));
+        unframed(&bytes, |r| read_adam(r, &mut Adam::new(0.5), &wide)).unwrap();
+    }
+
+    #[test]
     fn driver_state_round_trips() {
         let mut ledger = CommLedger::new();
         ledger.record_bytes(0, 1, Direction::Uplink, 120);
         ledger.record_bytes(2, 0, Direction::Downlink, 44);
         let driver = DriverState::from_parts(3, ledger);
-        let mut w = SnapshotWriter::new();
-        write_driver(&mut w, &driver);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(read_driver(&mut r).unwrap(), driver);
-        r.finish().unwrap();
+        let bytes = framed(|w| write_driver(w, &driver));
+        assert_eq!(unframed(&bytes, read_driver).unwrap(), driver);
     }
 
     #[test]
@@ -1434,18 +1355,14 @@ mod tests {
         tracker.record_rejection(1);
         tracker.record_rejection(1);
         assert!(tracker.is_quarantined(1));
-        let mut w = SnapshotWriter::new();
-        write_quarantine(&mut w, &tracker);
-        let bytes = w.into_bytes();
+        let bytes = framed(|w| write_quarantine(w, &tracker));
         let mut restored = QuarantineTracker::new(3, 2);
-        let mut r = SnapshotReader::new(&bytes);
-        read_quarantine(&mut r, &mut restored).unwrap();
+        unframed(&bytes, |r| read_quarantine(r, &mut restored)).unwrap();
         assert_eq!(restored, tracker);
         // Wrong client count must be a typed error, not a panic.
         let mut wrong = QuarantineTracker::new(5, 2);
-        let mut r = SnapshotReader::new(&bytes);
         assert!(matches!(
-            read_quarantine(&mut r, &mut wrong),
+            unframed(&bytes, |r| read_quarantine(r, &mut wrong)),
             Err(SnapshotError::Malformed(_))
         ));
     }
@@ -1457,11 +1374,8 @@ mod tests {
             None,
             Some(Tensor::from_vec(vec![-3.0], &[1]).unwrap()),
         ];
-        let mut w = SnapshotWriter::new();
-        write_opt_tensors(&mut w, &tensors);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        let back = read_opt_tensors(&mut r).unwrap();
+        let bytes = framed(|w| write_opt_tensors(w, &tensors));
+        let back = unframed(&bytes, read_opt_tensors).unwrap();
         assert_eq!(back.len(), 3);
         assert!(back[1].is_none());
         assert_eq!(back[0].as_ref().unwrap().as_slice(), &[1.0, 2.0]);

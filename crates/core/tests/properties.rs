@@ -11,7 +11,9 @@ use fedpkd_core::fedpkd::logits::{
 };
 use fedpkd_core::fedpkd::prototypes::{aggregate_prototypes, Prototype};
 use fedpkd_core::robust::{median, trimmed_mean, trimmed_mean_lanes};
-use fedpkd_core::snapshot::{read_pool, write_clients, write_pool, SnapshotReader, SnapshotWriter};
+use fedpkd_core::snapshot::{
+    read_pool, write_clients, write_pool, SnapshotStreamReader, SnapshotStreamWriter,
+};
 use fedpkd_core::train::train_supervised;
 use fedpkd_data::{ClientData, FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
@@ -523,14 +525,17 @@ proptest! {
         for_each_pooled_client_streaming(
             &mut pool, &scenario.clients, &first, workers, train_once, |_, _| {},
         );
-        let mut w_pool = SnapshotWriter::new();
+        let (mut bytes, mut owned_bytes) = (Vec::new(), Vec::new());
+        let mut w_pool = SnapshotStreamWriter::new(&mut bytes, "pool");
         write_pool(&mut w_pool, &pool);
-        let mut w_owned = SnapshotWriter::new();
+        w_pool.finish().unwrap();
+        let mut w_owned = SnapshotStreamWriter::new(&mut owned_bytes, "pool");
         write_clients(&mut w_owned, &owned);
-        let bytes = w_pool.into_bytes();
-        prop_assert_eq!(&bytes, &w_owned.into_bytes());
+        w_owned.finish().unwrap();
+        prop_assert_eq!(&bytes, &owned_bytes);
         let mut revived = ClientPool::new(&specs, 0.003, seed);
-        let mut r = SnapshotReader::new(&bytes);
+        let mut source = bytes.as_slice();
+        let (mut r, _) = SnapshotStreamReader::open(&mut source).unwrap();
         read_pool(&mut r, &mut revived).unwrap();
         r.finish().unwrap();
         // Freshness survives the round trip: only trained clients park.

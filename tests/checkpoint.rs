@@ -15,8 +15,19 @@
 //! [`SnapshotError`]s — never a panic, never a silent half-restore that
 //! runs anyway.
 
-use fedpkd::core::snapshot::{AlgorithmState, SnapshotError};
+use fedpkd::core::snapshot::{AlgorithmState, SnapshotError, SnapshotStreamWriter, StateSink};
 use fedpkd::prelude::*;
+
+/// A buffered payload sink: the raw bytes an algorithm's `write_state`
+/// emits, before any envelope framing.
+#[derive(Default)]
+struct Payload(Vec<u8>);
+
+impl StateSink for Payload {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+}
 
 /// Rounds before the interruption; the full run drives `2 * R`.
 const R: usize = 2;
@@ -290,33 +301,18 @@ fn streaming_snapshot_round_trips_bit_identically() {
     revived
         .restore_from(&mut streamed.as_slice())
         .expect("stream back");
-    // The revived instance must be bit-identical: its buffered snapshot
-    // matches the donor's.
+    // The revived instance must be bit-identical: its snapshot matches
+    // the donor's.
+    assert_eq!(revived.snapshot().to_bytes(), algo.snapshot().to_bytes());
+    // One format: the in-memory snapshot is exactly the streamed bytes.
     assert_eq!(
-        revived.snapshot_state().to_bytes(),
-        algo.snapshot_state().to_bytes()
+        Driver::snapshot(&algo, &mut NullObserver).to_bytes(),
+        streamed
     );
     // And both entry points must agree on the payload they carry on.
     let full = Driver::rounds(1).run_silent(&mut algo);
     let resumed = Driver::rounds(1).run_silent(&mut revived);
     assert_eq!(resumed.history, full.history);
-}
-
-#[test]
-fn v1_snapshot_bytes_restore_through_the_streaming_reader() {
-    let mut algo = fedpkd();
-    let _ = Driver::rounds(1).run_silent(&mut algo);
-    // Bytes written by the buffered (v1) envelope — the format existing
-    // checkpoint files on disk carry.
-    let v1_bytes = algo.snapshot_state().to_bytes();
-    let mut revived = fedpkd();
-    revived
-        .restore_from(&mut v1_bytes.as_slice())
-        .expect("v1 bytes stay restorable");
-    assert_eq!(
-        revived.snapshot_state().to_bytes(),
-        algo.snapshot_state().to_bytes()
-    );
 }
 
 #[test]
@@ -370,7 +366,7 @@ fn streamed_foreign_snapshot_is_rejected_by_name() {
 fn every_truncation_of_a_real_snapshot_is_a_typed_error() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    let bytes = algo.snapshot_state().to_bytes();
+    let bytes = algo.snapshot().to_bytes();
     // Stride through prefixes (byte-by-byte would be slow on a model-sized
     // payload); every one must fail cleanly.
     for len in (0..bytes.len()).step_by(257) {
@@ -389,7 +385,7 @@ fn every_truncation_of_a_real_snapshot_is_a_typed_error() {
 fn bit_flips_in_a_real_snapshot_are_detected() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    let bytes = algo.snapshot_state().to_bytes();
+    let bytes = algo.snapshot().to_bytes();
     for pos in [4, bytes.len() / 2, bytes.len() - 1] {
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0x40;
@@ -403,7 +399,7 @@ fn bit_flips_in_a_real_snapshot_are_detected() {
                 // cleanly — the FNV checksum covers them all.
                 panic!(
                     "corrupted snapshot decoded: {} bytes",
-                    state.payload().len()
+                    state.to_bytes().len()
                 );
             }
         }
@@ -414,13 +410,18 @@ fn bit_flips_in_a_real_snapshot_are_detected() {
 fn corrupt_payload_restores_as_typed_error_not_panic() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    let good = algo.snapshot_state();
+    let mut payload = Payload::default();
+    algo.write_state(&mut payload);
     // Truncate the *payload* (then re-frame it correctly), so the envelope
     // decodes fine and the per-field readers must catch the damage.
-    let cut = good.payload().len() / 2;
-    let clipped = AlgorithmState::new(good.algorithm(), good.payload()[..cut].to_vec());
+    let cut = payload.0.len() / 2;
+    let mut bytes = Vec::new();
+    let mut w = SnapshotStreamWriter::new(&mut bytes, "FedPKD");
+    w.put_raw(&payload.0[..cut]);
+    w.finish().unwrap();
+    let clipped = AlgorithmState::from_bytes(&bytes).expect("a well-framed envelope");
     let mut victim = fedpkd();
-    let err = victim.restore_state(&clipped).unwrap_err();
+    let err = victim.restore(&clipped).unwrap_err();
     assert!(
         matches!(err, SnapshotError::Truncated | SnapshotError::Malformed(_)),
         "got {err:?}"
@@ -431,9 +432,9 @@ fn corrupt_payload_restores_as_typed_error_not_panic() {
 fn foreign_snapshot_is_rejected_by_name() {
     let mut donor = FedAvg::new(scenario(), client_spec(), baseline_config(), 61).unwrap();
     let _ = Driver::rounds(1).run_silent(&mut donor);
-    let state = donor.snapshot_state();
+    let state = donor.snapshot();
     let mut victim = fedpkd();
-    match victim.restore_state(&state) {
+    match victim.restore(&state) {
         Err(SnapshotError::AlgorithmMismatch { expected, found }) => {
             assert_eq!(expected, "FedPKD");
             assert_eq!(found, "FedAvg");
@@ -442,9 +443,9 @@ fn foreign_snapshot_is_rejected_by_name() {
     }
 }
 
-// ---- Version sniff (PR 10): feature-mode state is presence-tagged. -----
+// ---- Feature-mode state is presence-tagged. ----------------------------
 //
-// A v2 envelope that carries margin-bank or generator state must not
+// A snapshot that carries margin-bank or generator state must not
 // restore through a configuration that lacks the feature (and vice
 // versa): the reader surfaces a typed error before consuming the
 // payload, never a panic, never a silently half-applied restore.
@@ -529,7 +530,7 @@ fn truncations_of_a_new_mode_snapshot_are_typed_errors() {
 fn wrong_fleet_size_is_rejected_as_malformed() {
     let mut donor = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut donor);
-    let state = donor.snapshot_state();
+    let state = donor.snapshot();
     // Same algorithm, different client count.
     let small = ScenarioBuilder::new(SyntheticConfig::cifar10_like())
         .clients(2)
@@ -548,7 +549,7 @@ fn wrong_fleet_size_is_rejected_as_malformed() {
     };
     let mut victim = FedPkd::new(small, vec![client_spec(); 2], server_spec(), config, 23).unwrap();
     assert!(matches!(
-        victim.restore_state(&state),
+        victim.restore(&state),
         Err(SnapshotError::Malformed(_))
     ));
 }
