@@ -21,8 +21,9 @@ pub fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// The robust-aggregation profile: a 16-client cohort (16 values per
-/// coordinate for the trimmed mean's fast tier) with a public pool deep
-/// enough for the row-parallel fan-out, and deliberately light epochs.
+/// coordinate for the trimmed mean's lane-batched fast tier) with a deep
+/// public pool, so aggregation is a visible share of the run, and
+/// deliberately light epochs.
 pub fn robust_scale(smoke: bool) -> Scale {
     Scale {
         clients: 16,

@@ -85,9 +85,10 @@ pub fn validate_specs(
     Ok(())
 }
 
-// The chunked dispatch idiom itself now lives in `fedpkd_tensor::parallel`
-// (it is shared with the row-parallel matmul kernels); re-export it so
-// existing users of this module keep working. Clients never share mutable
+// The dispatch idioms live in `fedpkd_tensor::parallel`, the workspace's
+// one home for threads (tensor kernels run on the calling thread, so a
+// client is the finest grain that fans out); re-export them so existing
+// users of this module keep working. Clients never share mutable
 // state — each mutates only its own model, optimizer, and RNG stream — so
 // dispatching them this way is bit-identical to a sequential loop.
 pub use fedpkd_tensor::parallel::{

@@ -6,11 +6,11 @@ use fedpkd_tensor::{metrics, Tensor};
 
 /// Batch size used for evaluation forward passes.
 ///
-/// Large enough that public-set and test-set matmuls cross the row-parallel
-/// threshold in `fedpkd_tensor::kernels` and run multi-threaded. Every
-/// eval-mode layer is row-wise (BatchNorm uses running statistics in
+/// Every eval-mode layer is row-wise (BatchNorm uses running statistics in
 /// inference mode), so batching is value-invariant: any batch size produces
-/// bit-identical outputs, and this constant is purely a throughput knob.
+/// bit-identical outputs, and this constant is purely a throughput knob
+/// bounding the activations held at once. The kernels run on the calling
+/// thread at any batch size.
 const EVAL_BATCH: usize = 2048;
 
 /// Accuracy of `model` on `dataset`, evaluated in inference mode.

@@ -160,8 +160,8 @@ pub struct GeneratorStats {
 /// generated batch mean onto the aggregated input-space class mean in
 /// `class_moments` (per-batch-mean, so individual samples keep their
 /// latent-driven diversity instead of collapsing onto the mean). The
-/// server model's accumulated gradients are zeroed afterwards — it is a
-/// critic here, never a trainee.
+/// server model is a critic here, never a trainee: it backpropagates for
+/// its input gradient only, so its parameter gradients are never touched.
 #[allow(clippy::too_many_arguments)]
 pub fn refine(
     generator: &mut Generator,
@@ -226,7 +226,7 @@ pub fn refine(
                 feature_grad.row_mut(i).copy_from_slice(grad.row(k));
             }
         }
-        let mut input_grad = server.backward_dual(&logit_grad, Some(&feature_grad));
+        let mut input_grad = server.backward_dual_input(&logit_grad, Some(&feature_grad));
         // Input-space grounding: match each class's generated batch mean
         // to the real class mean. Fixed class order + f64 accumulation
         // keep this bit-identical across tiers and worker counts.
@@ -266,7 +266,6 @@ pub fn refine(
             moment_loss /= engaged as f64;
         }
         generator.net.backward(&input_grad);
-        server.zero_grad();
         optimizer.step(&mut generator.net);
         stats = GeneratorStats {
             ensemble_loss: f64::from(ens_loss),

@@ -5,19 +5,13 @@ use crate::robust::{
     trim_count, trimmed_mean, trimmed_mean_lanes, AggregationError, MAX_LANE_COHORT, TRIM_LANES,
 };
 use fedpkd_tensor::ops::{row_variance, softmax};
-use fedpkd_tensor::{kernel_mode, parallel, KernelMode, Tensor};
+use fedpkd_tensor::{kernel_mode, KernelMode, Tensor};
 
 /// Total-variance floor below which Eq. 7 weighting falls back to the plain
 /// mean: variances this small are dominated by float rounding (and a
 /// non-finite total means a non-finite payload slipped in), so dividing by
 /// them would amplify noise rather than confidence.
 pub const MIN_TOTAL_VARIANCE: f32 = 1e-12;
-
-/// Minimum samples per chunk before the trimmed aggregation fans out
-/// across rows; each sample costs `classes` trimmed means, so the
-/// per-row work is heavy and the threshold can sit well below the
-/// softmax one. Samples are independent — the split is bit-identical.
-const PAR_MIN_TRIM_ROWS: usize = 64;
 
 fn check_alignment(client_logits: &[Tensor]) -> Result<&Tensor, AggregationError> {
     let first = client_logits.first().ok_or(AggregationError::Empty)?;
@@ -160,54 +154,46 @@ fn renormalize_row(row: &mut [f32]) {
     }
 }
 
-/// The lane-batched fast tier for one row chunk: fill the chunk's
-/// `(sample, class)` coordinates [`TRIM_LANES`] at a time through the
+/// The lane-batched fast tier over the whole `[n, classes]` output: fill
+/// the `(sample, class)` coordinates [`TRIM_LANES`] at a time through the
 /// vectorized [`trimmed_mean_lanes`] network, finish the tail with the
 /// per-column [`trimmed_mean`] (bit-identical by the lanes contract),
 /// then renormalize each completed row. The probability tensors are
 /// row-major `[n, k]`, so a lane batch reads `TRIM_LANES` *contiguous*
 /// floats from every client — the gather is a straight memcpy-like sweep
 /// instead of a strided walk.
-fn trimmed_chunk_lanes(
-    chunk: &mut [f32],
-    row0: usize,
-    classes: usize,
-    probs: &[Tensor],
-    trim_fraction: f32,
-) {
-    let base = row0 * classes;
+fn trimmed_lanes(out: &mut [f32], classes: usize, probs: &[Tensor], trim_fraction: f32) {
     let mut columns = vec![[0.0f32; TRIM_LANES]; probs.len()];
     let mut flat = 0;
-    while flat + TRIM_LANES <= chunk.len() {
+    while flat + TRIM_LANES <= out.len() {
         for (col, p) in columns.iter_mut().zip(probs) {
-            col.copy_from_slice(&p.as_slice()[base + flat..base + flat + TRIM_LANES]);
+            col.copy_from_slice(&p.as_slice()[flat..flat + TRIM_LANES]);
         }
         let means = trimmed_mean_lanes(&columns, trim_fraction);
-        chunk[flat..flat + TRIM_LANES].copy_from_slice(&means);
+        out[flat..flat + TRIM_LANES].copy_from_slice(&means);
         flat += TRIM_LANES;
     }
     let mut column = vec![0.0f32; probs.len()];
-    while flat < chunk.len() {
+    while flat < out.len() {
         for (slot, p) in column.iter_mut().zip(probs) {
-            *slot = p.as_slice()[base + flat];
+            *slot = p.as_slice()[flat];
         }
-        chunk[flat] = trimmed_mean(&mut column, trim_fraction);
+        out[flat] = trimmed_mean(&mut column, trim_fraction);
         flat += 1;
     }
-    for row in chunk.chunks_mut(classes) {
+    for row in out.chunks_mut(classes) {
         renormalize_row(row);
     }
 }
 
 /// [`aggregate_logits_trimmed`] over pre-computed [`client_probs`].
 ///
-/// Samples are mutually independent, so the fast tier fans the rows out
-/// across the worker pool (each worker with its own gather scratch) —
-/// bit-identical to the sequential sweep at any worker count. Within a
-/// chunk, cohorts of up to [`MAX_LANE_COHORT`] clients run through the
-/// lane-batched [`trimmed_mean_lanes`] sorting network ([`TRIM_LANES`]
-/// coordinates per pass); wider cohorts fall back to the per-column
-/// [`trimmed_mean`].
+/// On the fast tier, cohorts of up to [`MAX_LANE_COHORT`] clients run
+/// through the lane-batched [`trimmed_mean_lanes`] sorting network
+/// ([`TRIM_LANES`] coordinates per pass) over the whole buffer; wider
+/// cohorts, and the scalar tier, take the per-column [`trimmed_mean`] row
+/// by row. Both paths are bit-identical, and both run on the calling
+/// thread.
 ///
 /// # Errors
 ///
@@ -220,18 +206,8 @@ pub fn aggregate_logits_trimmed_from_probs(
     let first = check_alignment(probs)?;
     let (n, k) = (first.rows(), first.cols());
     let mut out = Tensor::zeros(&[n, k]);
-    if kernel_mode() == KernelMode::Fast && k > 0 && n >= 2 * PAR_MIN_TRIM_ROWS {
-        let batched = (1..=MAX_LANE_COHORT).contains(&probs.len());
-        parallel::for_each_row_chunk(out.as_mut_slice(), k, PAR_MIN_TRIM_ROWS, |row0, chunk| {
-            if batched {
-                trimmed_chunk_lanes(chunk, row0, k, probs, trim_fraction);
-            } else {
-                let mut column = vec![0.0f32; probs.len()];
-                for (r, row) in chunk.chunks_mut(k).enumerate() {
-                    trimmed_row(row, row0 + r, probs, &mut column, trim_fraction);
-                }
-            }
-        });
+    if kernel_mode() == KernelMode::Fast && k > 0 && probs.len() <= MAX_LANE_COHORT {
+        trimmed_lanes(out.as_mut_slice(), k, probs, trim_fraction);
     } else {
         let mut column = vec![0.0f32; probs.len()];
         for i in 0..n {

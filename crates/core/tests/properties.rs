@@ -368,9 +368,10 @@ proptest! {
     }
 }
 
-/// The row-parallel fast tier of trimmed aggregation engages only past
-/// 128 rows; pin its bit-identity to the sequential scalar tier at a
-/// scale the proptest above cannot reach cheaply.
+/// The lane-batched fast tier of trimmed aggregation, run over a whole
+/// 300-sample, 16-client buffer (a size that once split its rows across
+/// threads), is bit-identical to the row-by-row scalar tier at a scale
+/// the proptest above cannot reach cheaply.
 #[test]
 fn trimmed_aggregation_tiers_match_at_parallel_scale() {
     let mut rng = fedpkd_rng::Rng::seed_from_u64(9);

@@ -12,8 +12,11 @@
 //! - **Fast** — register-tiled micro-kernels (4×32 accumulator tiles held
 //!   in registers across the whole reduction), an `A·Bᵀ` path that repacks
 //!   the transposed operand once and reuses the tiled kernel, a
-//!   transposed-self kernel for `Aᵀ·B`, fused bias+ReLU epilogues, and a
-//!   row-parallel path for large products.
+//!   transposed-self kernel for `Aᵀ·B`, and fused bias+ReLU epilogues.
+//!   Every kernel runs on the calling thread: at this workspace's shapes
+//!   (at most ~600×128×128 per product) splitting a product across threads
+//!   does not pay for the spawn, so parallelism lives only in the
+//!   per-client pools of [`crate::parallel`].
 //!
 //! # Why the tiers are bit-identical
 //!
@@ -22,9 +25,7 @@
 //! increasing, starting from `+0.0` (or from the bias epilogue applied
 //! *after* the full sum, matching the unfused bias pass). Tiling only
 //! reorders work *across* output elements, never within one, and IEEE 754
-//! addition is deterministic, so the bits match. The row-parallel path
-//! splits the *output rows* across threads; rows never share an
-//! accumulator, so the result is independent of thread count and schedule.
+//! addition is deterministic, so the bits match.
 //!
 //! The scalar tier's zero-skip (skip a whole `b` row when `a[i][k] == 0`)
 //! is exact by the same coin, read both ways: the accumulator starts at
@@ -50,8 +51,6 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::parallel;
-
 /// Which kernel tier [`crate::Tensor::matmul`] and friends dispatch to.
 ///
 /// Both tiers produce bit-identical results (see the module docs); the
@@ -62,8 +61,8 @@ pub enum KernelMode {
     /// Reference scalar kernels: the i-k-j triple loop, materialized
     /// transposes, and unfused bias/ReLU passes.
     Scalar,
-    /// Register-tiled kernels with fused epilogues and the row-parallel
-    /// large-matmul path (the default).
+    /// Register-tiled kernels with fused epilogues, run on the calling
+    /// thread (the default).
     Fast,
 }
 
@@ -164,11 +163,6 @@ const NJ: usize = 64;
 /// the scalar remainder strip, which is why client training lagged the
 /// server phases.
 const NJ_NARROW: usize = 16;
-/// Minimum multiply-adds before the row-parallel path engages; below this
-/// the scoped-thread spawn cost outweighs the work.
-const PAR_MIN_MADDS: usize = 1 << 22;
-/// Minimum output rows a worker must receive for a parallel split.
-const PAR_MIN_ROWS: usize = 64;
 
 fn all_finite(xs: &[f32]) -> bool {
     xs.iter().all(|x| x.is_finite())
@@ -234,39 +228,7 @@ pub(crate) fn epilogue_scalar_into(out: &mut [f32], n: usize, bias: Option<&[f32
     }
 }
 
-/// Fast tier: `out = epilogue(A·B)`, register-tiled, row-parallel when the
-/// product is large. `out` must be zeroed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn matmul_fast_into(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    relu: bool,
-) {
-    if m * k * n >= PAR_MIN_MADDS && m >= 2 * PAR_MIN_ROWS {
-        parallel::for_each_row_chunk(out, n, PAR_MIN_ROWS, |row0, chunk| {
-            let rows = chunk.len() / n;
-            matmul_block(
-                &a[row0 * k..(row0 + rows) * k],
-                b,
-                chunk,
-                rows,
-                k,
-                n,
-                bias,
-                relu,
-            );
-        });
-    } else {
-        matmul_block(a, b, out, m, k, n, bias, relu);
-    }
-}
-
-/// Register-tiled `A·B` over a contiguous block of output rows.
+/// Fast tier: `out = epilogue(A·B)`, register-tiled. `out` must be zeroed.
 ///
 /// Full `MI×NJ` tiles keep their accumulators in registers for the whole
 /// reduction — the scalar loop's per-`k` reload/store of the output row is
@@ -275,7 +237,7 @@ pub(crate) fn matmul_fast_into(
 /// still bit-identical to the skipping scalar loop). Remainder strips fall
 /// back to a branchless scalar loop with the same per-element order.
 #[allow(clippy::too_many_arguments)]
-fn matmul_block(
+pub(crate) fn matmul_fast_into(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],

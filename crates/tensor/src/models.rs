@@ -104,6 +104,28 @@ impl ClassifierModel {
         }
         self.backbone.backward(&g_features)
     }
+
+    /// [`backward_dual`](Self::backward_dual) for the input gradient only:
+    /// returns the same tensor, bit for bit, and leaves every parameter
+    /// gradient untouched (see [`Layer::backward_input`]). The backward of
+    /// a frozen critic that only routes a gradient to its input.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward_dual`](Self::backward_dual).
+    pub fn backward_dual_input(
+        &mut self,
+        logit_grad: &Tensor,
+        feature_grad: Option<&Tensor>,
+    ) -> Tensor {
+        let mut g_features = self.head.backward_input(logit_grad);
+        if let Some(extra) = feature_grad {
+            g_features
+                .axpy(1.0, extra)
+                .expect("feature gradient shape mismatch");
+        }
+        self.backbone.backward_input(&g_features)
+    }
 }
 
 impl std::fmt::Debug for ClassifierModel {
@@ -123,6 +145,10 @@ impl Layer for ClassifierModel {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.backward_dual(grad_out, None)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_dual_input(grad_out, None)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -553,6 +579,24 @@ mod tests {
                 m.zero_grad();
             }
         }
+    }
+
+    #[test]
+    fn backward_dual_input_matches_backward_dual() {
+        use crate::nn::gradcheck::{assert_grads_zero, assert_same_bits, check_backward_input};
+        let mut rng = Rng::seed_from_u64(11);
+        let mut m = build_res_mlp(6, 3, DepthTier::T11, &mut rng);
+        let x = Tensor::rand_uniform(&[5, 6], -1.0, 1.0, &mut rng);
+        check_backward_input(&mut m, &x);
+
+        m.zero_grad();
+        let (features, logits) = m.forward_full(&x, true);
+        let logit_grad = Tensor::rand_uniform(logits.shape(), -1.0, 1.0, &mut rng);
+        let feature_grad = Tensor::rand_uniform(features.shape(), -1.0, 1.0, &mut rng);
+        let input_only = m.backward_dual_input(&logit_grad, Some(&feature_grad));
+        assert_grads_zero(&m);
+        let full = m.backward_dual(&logit_grad, Some(&feature_grad));
+        assert_same_bits(&input_only, &full);
     }
 
     #[test]

@@ -50,6 +50,85 @@ impl BatchNorm1d {
     pub fn features(&self) -> usize {
         self.features
     }
+
+    /// The input gradient of the last `forward(train = true)` — what both
+    /// [`Layer::backward`] and [`Layer::backward_input`] return. Reads the
+    /// forward caches only; parameter gradients are `backward`'s business.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no training-mode forward pass has run.
+    fn input_grad(&self, grad_out: &Tensor) -> Tensor {
+        let xhat = self
+            .cached_xhat
+            .as_ref()
+            .expect("backward called before forward(train=true)");
+        let std_inv = self
+            .cached_std_inv
+            .as_ref()
+            .expect("backward called before forward(train=true)");
+        let n = grad_out.rows();
+        let d = self.features;
+        let gamma = self.gamma.value.as_slice();
+
+        // When the forward pass normalized with running statistics (a
+        // single-row training batch), mean/var do not depend on the input
+        // and the chain rule reduces to dx = dxhat · std_inv.
+        if !self.cached_batch_stats {
+            let mut dx = Tensor::zeros(&[n, d]);
+            for (g, o) in grad_out
+                .as_slice()
+                .chunks_exact(d)
+                .zip(dx.as_mut_slice().chunks_exact_mut(d))
+            {
+                for (((o, &g), &ga), &si) in o.iter_mut().zip(g).zip(gamma).zip(std_inv) {
+                    *o = g * ga * si;
+                }
+            }
+            return dx;
+        }
+
+        // Input gradient:
+        // dx = gamma·std_inv/N · (N·dxhat − Σdxhat − xhat·Σ(dxhat·xhat))
+        // where dxhat = grad_out · gamma.
+        let mut sum_dxhat = vec![0.0f32; d];
+        let mut sum_dxhat_xhat = vec![0.0f32; d];
+        for (g, h) in grad_out
+            .as_slice()
+            .chunks_exact(d)
+            .zip(xhat.as_slice().chunks_exact(d))
+        {
+            for (((sd, sdh), (&g, &h)), &ga) in sum_dxhat
+                .iter_mut()
+                .zip(sum_dxhat_xhat.iter_mut())
+                .zip(g.iter().zip(h))
+                .zip(gamma)
+            {
+                let dxh = g * ga;
+                *sd += dxh;
+                *sdh += dxh * h;
+            }
+        }
+        let mut dx = Tensor::zeros(&[n, d]);
+        for ((g, h), o) in grad_out
+            .as_slice()
+            .chunks_exact(d)
+            .zip(xhat.as_slice().chunks_exact(d))
+            .zip(dx.as_mut_slice().chunks_exact_mut(d))
+        {
+            for ((((o, (&g, &h)), &ga), &si), (&sd, &sdh)) in o
+                .iter_mut()
+                .zip(g.iter().zip(h))
+                .zip(gamma)
+                .zip(std_inv)
+                .zip(sum_dxhat.iter().zip(&sum_dxhat_xhat))
+            {
+                let dxh = g * ga;
+                *o = si / n as f32 * (n as f32 * dxh - sd - h * sdh);
+            }
+        }
+        dx
+    }
 }
 
 impl std::fmt::Debug for BatchNorm1d {
@@ -136,17 +215,9 @@ impl Layer for BatchNorm1d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let xhat = self
-            .cached_xhat
-            .as_ref()
-            .expect("backward called before forward(train=true)");
-        let std_inv = self
-            .cached_std_inv
-            .as_ref()
-            .expect("backward called before forward(train=true)");
-        let n = grad_out.rows();
+        let dx = self.input_grad(grad_out);
+        let xhat = self.cached_xhat.as_ref().expect("cached by input_grad");
         let d = self.features;
-        let gamma = self.gamma.value.as_slice();
 
         // Parameter gradients.
         let mut dgamma = vec![0.0f32; d];
@@ -162,8 +233,8 @@ impl Layer for BatchNorm1d {
                 *db += g;
             }
         }
-        let dgamma_t = Tensor::from_vec(dgamma.clone(), &[d]).expect("dgamma shape");
-        let dbeta_t = Tensor::from_vec(dbeta.clone(), &[d]).expect("dbeta shape");
+        let dgamma_t = Tensor::from_vec(dgamma, &[d]).expect("dgamma shape");
+        let dbeta_t = Tensor::from_vec(dbeta, &[d]).expect("dbeta shape");
         self.gamma
             .grad
             .axpy(1.0, &dgamma_t)
@@ -172,64 +243,11 @@ impl Layer for BatchNorm1d {
             .grad
             .axpy(1.0, &dbeta_t)
             .expect("accumulate dbeta");
-
-        // When the forward pass normalized with running statistics (a
-        // single-row training batch), mean/var do not depend on the input
-        // and the chain rule reduces to dx = dxhat · std_inv.
-        if !self.cached_batch_stats {
-            let mut dx = Tensor::zeros(&[n, d]);
-            for (g, o) in grad_out
-                .as_slice()
-                .chunks_exact(d)
-                .zip(dx.as_mut_slice().chunks_exact_mut(d))
-            {
-                for (((o, &g), &ga), &si) in o.iter_mut().zip(g).zip(gamma).zip(std_inv) {
-                    *o = g * ga * si;
-                }
-            }
-            return dx;
-        }
-
-        // Input gradient:
-        // dx = gamma·std_inv/N · (N·dxhat − Σdxhat − xhat·Σ(dxhat·xhat))
-        // where dxhat = grad_out · gamma.
-        let mut sum_dxhat = vec![0.0f32; d];
-        let mut sum_dxhat_xhat = vec![0.0f32; d];
-        for (g, h) in grad_out
-            .as_slice()
-            .chunks_exact(d)
-            .zip(xhat.as_slice().chunks_exact(d))
-        {
-            for (((sd, sdh), (&g, &h)), &ga) in sum_dxhat
-                .iter_mut()
-                .zip(sum_dxhat_xhat.iter_mut())
-                .zip(g.iter().zip(h))
-                .zip(gamma)
-            {
-                let dxh = g * ga;
-                *sd += dxh;
-                *sdh += dxh * h;
-            }
-        }
-        let mut dx = Tensor::zeros(&[n, d]);
-        for ((g, h), o) in grad_out
-            .as_slice()
-            .chunks_exact(d)
-            .zip(xhat.as_slice().chunks_exact(d))
-            .zip(dx.as_mut_slice().chunks_exact_mut(d))
-        {
-            for ((((o, (&g, &h)), &ga), &si), (&sd, &sdh)) in o
-                .iter_mut()
-                .zip(g.iter().zip(h))
-                .zip(gamma)
-                .zip(std_inv)
-                .zip(sum_dxhat.iter().zip(&sum_dxhat_xhat))
-            {
-                let dxh = g * ga;
-                *o = si / n as f32 * (n as f32 * dxh - sd - h * sdh);
-            }
-        }
         dx
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.input_grad(grad_out)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -304,6 +322,18 @@ mod tests {
         let x = Tensor::rand_uniform(&[6, 3], -2.0, 2.0, &mut rng);
         gradcheck::check_input_grad(&mut bn, &x, 2e-2);
         gradcheck::check_param_grad(&mut bn, &x, 2e-2);
+    }
+
+    #[test]
+    fn backward_input_matches_backward_with_batch_and_running_stats() {
+        let mut rng = Rng::seed_from_u64(3);
+        let mut bn = BatchNorm1d::new(4);
+        // Batch statistics: a multi-row training batch.
+        let batch = Tensor::rand_uniform(&[7, 4], -2.0, 2.0, &mut rng);
+        gradcheck::check_backward_input(&mut bn, &batch);
+        // Running statistics: a single-row training batch.
+        let row = Tensor::rand_uniform(&[1, 4], -2.0, 2.0, &mut rng);
+        gradcheck::check_backward_input(&mut bn, &row);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Fully connected layer.
 
+use std::borrow::Cow;
+
 use super::{Layer, Param};
 use crate::Tensor;
 use fedpkd_rng::Rng;
@@ -80,6 +82,24 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// With a fused ReLU, masks the incoming gradient exactly as a
+    /// standalone Relu layer would (its predicate `z > 0` on the
+    /// pre-activation equals `relu(z) > 0` on the cached output); without
+    /// one, passes it through.
+    fn relu_masked<'g>(&self, grad_out: &'g Tensor) -> Cow<'g, Tensor> {
+        if !self.fuse_relu {
+            return Cow::Borrowed(grad_out);
+        }
+        let out = self
+            .cached_output
+            .as_ref()
+            .expect("backward called before forward");
+        let masked = grad_out
+            .zip_with(out, |g, y| if y > 0.0 { g } else { 0.0 })
+            .expect("relu mask shape");
+        Cow::Owned(masked)
+    }
 }
 
 impl std::fmt::Debug for Linear {
@@ -111,30 +131,26 @@ impl Layer for Linear {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // With a fused ReLU, mask the incoming gradient exactly as a
-        // standalone Relu layer would (its predicate `z > 0` on the
-        // pre-activation equals `relu(z) > 0` on the cached output).
-        let masked;
-        let grad_out = if self.fuse_relu {
-            let out = self
-                .cached_output
-                .as_ref()
-                .expect("backward called before forward");
-            masked = grad_out
-                .zip_with(out, |g, y| if y > 0.0 { g } else { 0.0 })
-                .expect("relu mask shape");
-            &masked
-        } else {
-            grad_out
-        };
+        let grad_out = self.relu_masked(grad_out);
         // dW = xᵀ · g ; db = column sums of g ; dx = g · Wᵀ. Both products
         // use the transposed kernels, so no per-batch transpose of the
         // input or the weight matrix is materialized.
-        let dw = input.tr_matmul(grad_out).expect("dW shape");
+        let dw = input.tr_matmul(&grad_out).expect("dW shape");
         self.weight.grad.axpy(1.0, &dw).expect("dW accumulate");
         let db = grad_out.sum_rows();
         self.bias.grad.axpy(1.0, &db).expect("db accumulate");
         grad_out
+            .matmul_transposed(&self.weight.value)
+            .expect("dx shape")
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        assert!(
+            self.cached_input.is_some(),
+            "backward called before forward"
+        );
+        // dx = g · Wᵀ alone: the same product `backward` returns.
+        self.relu_masked(grad_out)
             .matmul_transposed(&self.weight.value)
             .expect("dx shape")
     }
@@ -260,6 +276,22 @@ mod tests {
         let x = Tensor::rand_uniform(&[5, 4], 0.5, 1.5, &mut rng);
         gradcheck::check_input_grad(&mut fc, &x, 1e-2);
         gradcheck::check_param_grad(&mut fc, &x, 1e-2);
+    }
+
+    #[test]
+    fn backward_input_matches_backward_plain_and_fused() {
+        let mut rng = Rng::seed_from_u64(10);
+        let x = Tensor::rand_uniform(&[9, 6], -2.0, 2.0, &mut rng);
+        gradcheck::check_backward_input(&mut Linear::new(6, 5, &mut rng), &x);
+        gradcheck::check_backward_input(&mut Linear::fused_relu(6, 5, &mut rng), &x);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn backward_input_before_forward_panics() {
+        let mut rng = Rng::seed_from_u64(11);
+        let mut fc = Linear::new(2, 2, &mut rng);
+        fc.backward_input(&Tensor::zeros(&[1, 2]));
     }
 
     #[test]

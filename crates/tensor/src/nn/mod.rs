@@ -3,8 +3,9 @@
 //! The [`Layer`] trait is the backbone of the training stack: each layer
 //! caches what it needs during [`Layer::forward`] and produces input
 //! gradients (while accumulating parameter gradients) in
-//! [`Layer::backward`]. Containers ([`Sequential`], [`Residual`]) compose
-//! layers into networks.
+//! [`Layer::backward`], or the input gradient alone in
+//! [`Layer::backward_input`]. Containers ([`Sequential`], [`Residual`])
+//! compose layers into networks.
 
 mod activations;
 mod batchnorm;
@@ -68,6 +69,31 @@ pub trait Layer: Send {
     /// Implementations may panic if called before `forward` or with a
     /// gradient whose shape does not match the last forward output.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Backpropagates `grad_out` for the input gradient only: returns the
+    /// same tensor as [`backward`](Layer::backward), bit for bit, and leaves
+    /// every parameter gradient as it was. This is the backward of a frozen
+    /// model that only routes a gradient to its input (the data-free
+    /// generator's server critic).
+    ///
+    /// The default is safe for every layer: it runs `backward`, then puts
+    /// back the parameter gradients it saved beforehand. A layer without
+    /// parameters pays nothing for that; a layer with parameters pays a copy
+    /// of its gradients plus the parameter-gradient work it then discards,
+    /// so the layers on hot paths ([`Linear`], [`BatchNorm1d`] and the
+    /// containers) override it to skip that work.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Layer::backward).
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut saved = Vec::new();
+        self.visit_params(&mut |p| saved.push(p.grad.clone()));
+        let grad_in = self.backward(grad_out);
+        let mut saved = saved.into_iter();
+        self.visit_params_mut(&mut |p| p.grad = saved.next().expect("stable param order"));
+        grad_in
+    }
 
     /// Visits every trainable parameter mutably, in a stable order.
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param));
@@ -212,6 +238,14 @@ impl Layer for Sequential {
         g
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut g = grad_out.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward_input(&g);
+        }
+        g
+    }
+
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params_mut(f);
@@ -286,6 +320,14 @@ impl Layer for Residual {
             .expect("residual input gradients must agree in shape")
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let g_body = self.body.backward_input(grad_out);
+        let g_skip = self.skip.backward_input(grad_out);
+        g_body
+            .add(&g_skip)
+            .expect("residual input gradients must agree in shape")
+    }
+
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.body.visit_params_mut(f);
         self.skip.visit_params_mut(f);
@@ -335,6 +377,47 @@ pub(crate) mod gradcheck {
             assert!(
                 (numeric - got).abs() < tol * (1.0 + numeric.abs()),
                 "input grad {i}: numeric {numeric} vs analytic {got}"
+            );
+        }
+    }
+
+    /// Asserts that `a` and `b` hold the same `f32`s, bit for bit.
+    pub fn assert_same_bits(a: &Tensor, b: &Tensor) {
+        assert_eq!(a.shape(), b.shape());
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "element {i}: {x} vs {y}");
+        }
+    }
+
+    /// Asserts that every parameter gradient of `layer` is `+0.0`.
+    pub fn assert_grads_zero(layer: &dyn Layer) {
+        layer.visit_params(&mut |p| {
+            assert!(
+                p.grad.as_slice().iter().all(|g| g.to_bits() == 0),
+                "a parameter gradient was touched"
+            );
+        });
+    }
+
+    /// Checks [`Layer::backward_input`] after one training forward at
+    /// `input`: it must return `backward`'s input gradient bit for bit and
+    /// leave every parameter gradient at zero. Both run off the same
+    /// forward caches, which neither mutates.
+    pub fn check_backward_input(layer: &mut dyn Layer, input: &Tensor) {
+        let mut rng = fedpkd_rng::Rng::seed_from_u64(0xD1CE);
+        layer.zero_grad();
+        let out = layer.forward(input, true);
+        let grad_out = Tensor::rand_uniform(out.shape(), -1.0, 1.0, &mut rng);
+        let input_only = layer.backward_input(&grad_out);
+        assert_grads_zero(layer);
+        let full = layer.backward(&grad_out);
+        assert_same_bits(&input_only, &full);
+        if layer.param_count() > 0 {
+            let mut touched = false;
+            layer.visit_params(&mut |p| touched |= p.grad.as_slice().iter().any(|&g| g != 0.0));
+            assert!(
+                touched,
+                "backward must still accumulate parameter gradients"
             );
         }
     }
@@ -482,6 +565,58 @@ mod tests {
             &Tensor::rand_uniform(&[2, 3], -1.0, 1.0, &mut rng),
             1e-2,
         );
+    }
+
+    #[test]
+    fn sequential_backward_input_matches_backward() {
+        let mut rng = Rng::seed_from_u64(11);
+        let mut net = Sequential::new(vec![
+            Box::new(Linear::fused_relu(5, 7, &mut rng)),
+            Box::new(BatchNorm1d::new(7)),
+            Box::new(Tanh::new()),
+            Box::new(Linear::new(7, 3, &mut rng)),
+        ]);
+        let x = Tensor::rand_uniform(&[6, 5], -2.0, 2.0, &mut rng);
+        gradcheck::check_backward_input(&mut net, &x);
+    }
+
+    #[test]
+    fn residual_backward_input_matches_backward() {
+        let mut rng = Rng::seed_from_u64(12);
+        let body = Sequential::new(vec![
+            Box::new(BatchNorm1d::new(4)) as Box<dyn Layer>,
+            Box::new(Linear::fused_relu(4, 4, &mut rng)),
+            Box::new(Linear::new(4, 4, &mut rng)),
+        ]);
+        let mut plain = Residual::new(Box::new(body));
+        let x = Tensor::rand_uniform(&[5, 4], -2.0, 2.0, &mut rng);
+        gradcheck::check_backward_input(&mut plain, &x);
+        let body = Sequential::new(vec![Box::new(Linear::new(4, 6, &mut rng)) as Box<dyn Layer>]);
+        let proj = Linear::new(4, 6, &mut rng);
+        let mut projected = Residual::with_projection(Box::new(body), Box::new(proj));
+        gradcheck::check_backward_input(&mut projected, &x);
+    }
+
+    #[test]
+    fn default_backward_input_restores_parameter_gradients() {
+        // Conv2d keeps the trait's default: run `backward`, then put the
+        // saved gradients back. Non-zero gradients going in must come out
+        // unchanged, not zeroed.
+        let mut rng = Rng::seed_from_u64(13);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = Tensor::rand_uniform(&[2, 2, 4, 4], -1.0, 1.0, &mut rng);
+        gradcheck::check_backward_input(&mut conv, &x);
+        let mut before = Vec::new();
+        conv.visit_params(&mut |p| before.push(p.grad.clone()));
+        let out = conv.forward(&x, true);
+        conv.backward_input(&Tensor::full(out.shape(), 0.5));
+        let mut after = Vec::new();
+        conv.visit_params(&mut |p| after.push(p.grad.clone()));
+        for (b, a) in before.iter().zip(&after) {
+            gradcheck::assert_same_bits(b, a);
+        }
+        let mut tanh = Tanh::new();
+        gradcheck::check_backward_input(&mut tanh, &x);
     }
 
     #[test]

@@ -1,18 +1,13 @@
 //! Free functions on tensors: softmax families and related transforms.
 //!
 //! These operate row-wise on rank-2 tensors of logits `[batch, classes]` —
-//! the shape in which all knowledge transfer in FedPKD happens.
+//! the shape in which all knowledge transfer in FedPKD happens. Rows are
+//! swept in order on the calling thread; the round gets its parallelism
+//! from the per-client pools, not from splitting a row-wise op.
 
-use crate::kernels::{kernel_mode, KernelMode};
-use crate::{parallel, Tensor};
+use crate::Tensor;
 
-/// Minimum rows per chunk before the softmax-family fast tier engages the
-/// row-parallel path; below twice this, thread spawn cost outweighs the
-/// per-row exp work. Rows are independent, so the split is bit-identical
-/// to the sequential sweep at any worker count.
-const PAR_MIN_SOFTMAX_ROWS: usize = 256;
-
-/// One row of [`softmax`], in place — THE definition both tiers share.
+/// One row of [`softmax`], in place.
 #[inline]
 fn softmax_row(row: &mut [f32], temperature: f32) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -26,7 +21,7 @@ fn softmax_row(row: &mut [f32], temperature: f32) {
     }
 }
 
-/// One row of [`log_softmax`], in place — THE definition both tiers share.
+/// One row of [`log_softmax`], in place.
 #[inline]
 fn log_softmax_row(row: &mut [f32], temperature: f32) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -40,19 +35,11 @@ fn log_softmax_row(row: &mut [f32], temperature: f32) {
     }
 }
 
-/// One row of [`row_variance`] — THE definition both tiers share.
+/// One row of [`row_variance`].
 #[inline]
 fn variance_row(row: &[f32], cols: f32) -> f32 {
     let mean: f32 = row.iter().sum::<f32>() / cols;
     row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols
-}
-
-/// Whether the fast tier should run a row-wise op of `rows` rows on the
-/// row-parallel path. Rows never share state, so this is purely a speed
-/// decision — bits are identical either way.
-#[inline]
-fn row_parallel(rows: usize) -> bool {
-    kernel_mode() == KernelMode::Fast && rows >= 2 * PAR_MIN_SOFTMAX_ROWS
 }
 
 /// Row-wise softmax with temperature.
@@ -85,22 +72,8 @@ pub fn softmax(logits: &Tensor, temperature: f32) -> Tensor {
     if cols == 0 {
         return out;
     }
-    let rows = out.rows();
-    if row_parallel(rows) {
-        parallel::for_each_row_chunk(
-            out.as_mut_slice(),
-            cols,
-            PAR_MIN_SOFTMAX_ROWS,
-            |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    softmax_row(row, temperature);
-                }
-            },
-        );
-    } else {
-        for r in 0..rows {
-            softmax_row(out.row_mut(r), temperature);
-        }
+    for r in 0..out.rows() {
+        softmax_row(out.row_mut(r), temperature);
     }
     out
 }
@@ -117,22 +90,8 @@ pub fn log_softmax(logits: &Tensor, temperature: f32) -> Tensor {
     if cols == 0 {
         return out;
     }
-    let rows = out.rows();
-    if row_parallel(rows) {
-        parallel::for_each_row_chunk(
-            out.as_mut_slice(),
-            cols,
-            PAR_MIN_SOFTMAX_ROWS,
-            |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    log_softmax_row(row, temperature);
-                }
-            },
-        );
-    } else {
-        for r in 0..rows {
-            log_softmax_row(out.row_mut(r), temperature);
-        }
+    for r in 0..out.rows() {
+        log_softmax_row(out.row_mut(r), temperature);
     }
     out
 }
@@ -161,18 +120,9 @@ pub fn row_entropy(probs: &Tensor) -> Vec<f32> {
 /// hence high variance.
 pub fn row_variance(x: &Tensor) -> Vec<f32> {
     let cols = x.cols().max(1) as f32;
-    let rows = x.rows();
-    if row_parallel(rows) {
-        let mut out = vec![0.0f32; rows];
-        parallel::for_each_row_chunk(&mut out, 1, PAR_MIN_SOFTMAX_ROWS, |row0, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = variance_row(x.row(row0 + i), cols);
-            }
-        });
-        out
-    } else {
-        (0..rows).map(|r| variance_row(x.row(r), cols)).collect()
-    }
+    (0..x.rows())
+        .map(|r| variance_row(x.row(r), cols))
+        .collect()
 }
 
 /// Sharpens each row of a probability matrix: `p_i^(1/T) / Σ_j p_j^(1/T)`.

@@ -1,13 +1,20 @@
-//! Order-preserving chunked thread dispatch.
+//! Order-preserving thread dispatch over whole work items.
 //!
-//! This is the workspace's one parallelism idiom, shared by the per-client
-//! round driver in `fedpkd-core::clients` (which re-exports
-//! [`dispatch_chunked`]) and the row-parallel matmul path in
-//! [`crate::kernels`]: split the work into contiguous chunks, run one
-//! scoped thread per chunk capped at the machine's available parallelism,
-//! and reassemble results in input order. Items (or output rows) never
-//! share mutable state, so the result is bit-identical to the sequential
-//! loop regardless of core count or scheduling.
+//! This is the workspace's one parallelism idiom, used by the per-client
+//! round drivers in `fedpkd-core` ([`dispatch_chunked`] and the
+//! work-stealing [`dispatch_stealing`]): split the work into items coarse
+//! enough to amortize a thread (one client's training, one client's
+//! distillation), run them on scoped threads capped at the machine's
+//! available parallelism, and reassemble results in input order. Items
+//! never share mutable state, so the result is bit-identical to the
+//! sequential loop regardless of core count or scheduling.
+//!
+//! Tensor kernels never fan out: every kernel runs on the calling thread.
+//! At this workspace's shapes a per-call split across scoped threads does
+//! not pay. On a two-vCPU VM a spawn plus join costs about 50 µs; even the
+//! largest product in a round (600×128×128) ran under a tenth faster split
+//! in two than inline; and a split call waits for its slower half, so a
+//! busy sibling core stalls it (DESIGN.md §5f has the numbers).
 
 /// Per-thread reusable scratch buffers for transient `f32` workspaces.
 ///
@@ -253,39 +260,6 @@ fn run_stealing<I: Send, T: Send>(
     })
 }
 
-/// Splits `out` (a row-major buffer of `row_width`-wide rows) into
-/// contiguous row chunks of at least `min_rows` rows each and runs
-/// `f(first_row_index, chunk)` on one scoped thread per chunk.
-///
-/// Chunks are disjoint `&mut` slices, so no locking is needed and the
-/// written buffer is identical to a sequential pass no matter how the
-/// threads are scheduled. Shared by the row-parallel matmul path and the
-/// row-parallel softmax/variance/trimmed-aggregation fast tiers — any
-/// row-independent kernel can dispatch through it without changing bits.
-pub fn for_each_row_chunk(
-    out: &mut [f32],
-    row_width: usize,
-    min_rows: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    debug_assert!(row_width > 0 && min_rows > 0);
-    let rows = out.len() / row_width;
-    let workers = max_workers().min(rows.div_ceil(min_rows)).max(1);
-    if workers == 1 {
-        // Single worker (one core, or too few rows): run inline — spawning
-        // a scoped thread would only add latency.
-        f(0, out);
-        return;
-    }
-    let chunk_rows = rows.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (idx, chunk) in out.chunks_mut(chunk_rows * row_width).enumerate() {
-            scope.spawn(move || f(idx * chunk_rows, chunk));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,22 +357,5 @@ mod tests {
             scratch::with_f32s(16, |inner| inner.fill(3.0));
             assert!(outer.iter().all(|&v| v == 2.0));
         });
-    }
-
-    #[test]
-    fn row_chunks_cover_every_row_exactly_once() {
-        let rows = 97;
-        let width = 5;
-        let mut out = vec![0.0f32; rows * width];
-        for_each_row_chunk(&mut out, width, 8, |row0, chunk| {
-            for (r, row) in chunk.chunks_mut(width).enumerate() {
-                for v in row {
-                    *v += (row0 + r) as f32;
-                }
-            }
-        });
-        for (r, row) in out.chunks(width).enumerate() {
-            assert!(row.iter().all(|&v| v == r as f32), "row {r}: {row:?}");
-        }
     }
 }

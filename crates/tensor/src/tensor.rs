@@ -338,8 +338,8 @@ impl Tensor {
     /// Matrix product via the reference scalar kernel (the i-k-j triple
     /// loop), regardless of the selected [`crate::kernels::KernelMode`].
     ///
-    /// This is the baseline the tiled, transposed-packed, and row-parallel
-    /// kernels are proven bit-identical to; benchmarks and equivalence
+    /// This is the baseline the tiled and transposed-packed kernels are
+    /// proven bit-identical to; benchmarks and equivalence
     /// tests call it directly.
     ///
     /// # Errors

@@ -302,9 +302,10 @@ proptest! {
     }
 }
 
-/// The row-parallel dispatch (engaged above ~4M multiply-adds and 128 rows)
-/// is bit-identical to the scalar reference no matter how the row chunks
-/// land on threads.
+/// A tall product (2048 rows, ~4.7M multiply-adds: big enough that the
+/// fast tier once split its rows across threads) runs through the
+/// single-threaded tiled kernel and the fused bias+ReLU epilogue
+/// bit-identically to the scalar reference.
 #[test]
 fn row_parallel_matmul_is_bit_identical_to_scalar() {
     let mut rng = Rng::seed_from_u64(42);
@@ -328,6 +329,54 @@ fn row_parallel_matmul_is_bit_identical_to_scalar() {
     for (x, y) in fused.as_slice().iter().zip(expect.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
+}
+
+fn assert_same_bits(label: &str, got: &Tensor, want: &Tensor) {
+    assert_eq!(got.shape(), want.shape(), "{label}");
+    for (idx, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{label} element {idx}: {x} vs {y}"
+        );
+    }
+}
+
+/// The data-free refine's shapes: a 600-row batch through the ResMlp56
+/// server's 128-wide layers. The fast tier's forward `relu(x·W + b)`, its
+/// `dx = g·Wᵀ` and its `dW = xᵀ·g` equal the scalar reference bit for bit.
+/// The activations are post-ReLU (about half exact zeros), so the scalar
+/// tier's zero-skip fires as it does in the run.
+#[test]
+fn refine_shape_products_are_bit_identical_to_scalar() {
+    let mut rng = Rng::seed_from_u64(56);
+    let (m, k, n) = (600, 128, 128);
+    let x = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng).map(|v| v.max(0.0));
+    let w = Tensor::rand_uniform(&[k, n], -0.2, 0.2, &mut rng);
+    let bias = Tensor::rand_uniform(&[n], -0.1, 0.1, &mut rng);
+    let g = Tensor::rand_uniform(&[m, n], -1.0, 1.0, &mut rng);
+
+    let mut forward_ref = x.matmul_scalar(&w).unwrap();
+    for r in 0..m {
+        for (o, &bv) in forward_ref.row_mut(r).iter_mut().zip(bias.as_slice()) {
+            *o = (*o + bv).max(0.0);
+        }
+    }
+    let dx_ref = g.matmul_scalar(&w.transpose().unwrap()).unwrap();
+    let dw_ref = x.transpose().unwrap().matmul_scalar(&g).unwrap();
+
+    let _tier = KernelMode::Fast.scoped();
+    assert_same_bits(
+        "matmul_bias",
+        &x.matmul_bias(&w, &bias, true).unwrap(),
+        &forward_ref,
+    );
+    assert_same_bits(
+        "matmul_transposed",
+        &g.matmul_transposed(&w).unwrap(),
+        &dx_ref,
+    );
+    assert_same_bits("tr_matmul", &x.tr_matmul(&g).unwrap(), &dw_ref);
 }
 
 /// Strategy: one row of logits salted with adversarial values — NaN, ±∞,

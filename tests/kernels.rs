@@ -43,7 +43,7 @@ fn run_fedpkd(seed: u64) -> RunResult {
 }
 
 /// The fast kernel tier (register tiling, fused epilogues, packed transposed
-/// products, row-parallel dispatch) must reproduce the scalar tier's
+/// products) must reproduce the scalar tier's
 /// `RunResult` — history and communication ledger — exactly, on the same
 /// seed. Accuracies are compared as full f64 values, so even a one-ulp
 /// drift in any forward or backward pass fails this test.
